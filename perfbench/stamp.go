@@ -50,9 +50,13 @@ func machineStamp() (stamp, error) {
 	if s.CPUModel == "" {
 		s.CPUModel = runtime.GOARCH
 	}
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		s.Commit = strings.TrimSpace(string(out))
-		return s, nil
+	// Ask git only about this checkout: without a .git here, git would
+	// report whatever repository happens to enclose it.
+	if _, err := os.Stat(".git"); err == nil {
+		if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+			s.Commit = strings.TrimSpace(string(out))
+			return s, nil
+		}
 	}
 	d, err := sourceDigest(".")
 	if err != nil {
