@@ -62,6 +62,7 @@ type stats struct {
 
 // traceDump is the part of the trace op's payload the benchmark reads.
 type traceDump struct {
+	Dropped   uint64   `json:"dropped"`
 	Truncated int      `json:"truncated"`
 	Records   []record `json:"records"`
 }

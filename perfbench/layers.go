@@ -98,6 +98,7 @@ func ratio(a, b float64) float64 {
 // virtual clock and are never added to host time.
 func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, plainP99 float64, st *stats, prom map[string]float64) {
 	var n, rtt, lost, vex, reqB, respB, retries, batch, vq float64
+	var ringDropped uint64
 	var t jobSpans // sums over the traced jobs whose spans are complete
 	backends := map[string]float64{}
 	for _, o := range r.jobs {
@@ -114,6 +115,7 @@ func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, pla
 			continue
 		}
 		lost += float64(js.lost)
+		ringDropped = max(ringDropped, js.ringDropped)
 		if !js.complete {
 			continue
 		}
@@ -168,7 +170,9 @@ func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, pla
 	v["attest.verify_memo_hit_ratio"] = ratio(float64(st.VerifyMemoHits), float64(st.VerifyMemoHits+st.VerifyMemoMisses))
 	v["vtime.execute_us"] = ratio(vex, n) / 1e3
 	v["vtime.quote_gen_us"] = ratio(vq, jobs) / 1e3
-	v["trace.overhead_ratio"] = ratio(plainRate, jobs/window.Seconds())
+	// The traced rate leaves out the time the benchmark's own trace
+	// fetches paused the loop, so the ratio is the daemons' tracing cost.
+	v["trace.overhead_ratio"] = ratio(plainRate, jobs/(window-r.paused).Seconds())
 	v["trace.dropped"] = lost
 	v["layers.unattributed_ratio"] = ratio(t.layers[layerUnattributed], rtt)
 	v["tail.latency_p99_ms"] = plainP99
@@ -176,6 +180,8 @@ func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, pla
 		v["layers."+name+"_us"] = perJobUS(t.layers[i])
 	}
 	b.diag["traced_jobs"] = n
+	b.diag["trace.fetch_pause_s"] = r.paused.Seconds()
+	b.diag["trace.ring_overwritten"] = float64(ringDropped)
 	b.diag["jobs_per_s.untraced"] = plainRate
 }
 

@@ -37,6 +37,9 @@ type loadResult struct {
 	// included, so a failure anywhere fails the run.
 	attempted, failed int
 	failures          []string // first few failure reasons
+	// paused is the time measured jobs' trace fetches held the loop
+	// with no job in flight; the traced rate excludes it.
+	paused time.Duration
 }
 
 // clientSpan is the parent span ID the benchmark's own send→decode span
@@ -136,9 +139,12 @@ func (p *phase) run() *loadResult {
 					fail(j.tenant.name + ": " + why)
 					continue
 				}
+				var pause time.Duration
 				if due := nextFetch.Load(); p.traced && o.end.UnixNano() >= due && nextFetch.CompareAndSwap(due, math.MaxInt64) {
 					quiet.Lock()
+					held := time.Now()
 					sp, err := fetchSpans(c, j.req.TraceID, x.rtt)
+					pause = time.Since(held)
 					quiet.Unlock()
 					nextFetch.Store(time.Now().Add(fetchGap).UnixNano())
 					if err != nil {
@@ -153,6 +159,7 @@ func (p *phase) run() *loadResult {
 				res.attempted++
 				if measured {
 					res.jobs = append(res.jobs, o)
+					res.paused += pause
 				}
 				mu.Unlock()
 			}

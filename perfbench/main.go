@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -147,16 +148,14 @@ func run(w *workload, seed int64, measure time.Duration, traced bool) (bool, err
 	if err != nil {
 		return false, err
 	}
+	// A workload is identity-checked exactly when reference.json has an
+	// entry for it.
+	refs, err := loadReferences()
+	if err != nil {
+		return false, err
+	}
 	var ref *reference
-	if w.checkVirtual {
-		refs, err := loadReferences()
-		if err != nil {
-			return false, err
-		}
-		r, ok := refs[w.name]
-		if !ok {
-			return false, fmt.Errorf("reference.json has no entry for %s", w.name)
-		}
+	if r, ok := refs[w.name]; ok {
 		ref = &r
 	}
 	b := &bench{w: w, seed: seed, tenants: w.tenantsFor(seed), ref: ref,
@@ -238,6 +237,9 @@ func (b *bench) daemonArgs(traced bool) (bin string, args []string) {
 		bin = filepath.Join(binDir, "palrouter")
 	}
 	args = append([]string{"-addr", "127.0.0.1:0"}, b.w.args...)
+	if b.w.maxBatch > 0 {
+		args = append(args, "-quote-batch", strconv.Itoa(b.w.maxBatch))
+	}
 	if traced {
 		args = append(args, "-trace")
 		if !b.w.routed {

@@ -12,13 +12,17 @@ import (
 // Every attest-direct daemon instance in a run quotes more jobs than this.
 const referenceQuotes = 2048
 
-// writeReference records reference.json from the current program: for
-// each workload with an identity check it boots the daemon and runs jobs
+// writeReference re-records reference.json from the current program: for
+// each workload the file already names it boots the daemon and runs jobs
 // one at a time, so quote draws arrive in stream order.
 func writeReference() error {
+	old, err := loadReferences()
+	if err != nil {
+		return err
+	}
 	refs := map[string]reference{}
 	for _, w := range workloads {
-		if !w.checkVirtual {
+		if _, ok := old[w.name]; !ok {
 			continue
 		}
 		jobs := 64

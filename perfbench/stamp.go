@@ -103,10 +103,8 @@ func sourceDigest(root string) (string, error) {
 }
 
 // compare reads the result records of two directories (each holding
-// several seeds' runs of the same commit) and, for every workload and
-// metric, reports both medians, the base side's quartile spread and
-// whether the change stayed within the metric's bound. It refuses to
-// compare results from different machines.
+// several seeds' runs of the same commit) and judges the change against
+// the base; see compareRecords.
 func compare(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: compare <base-results-dir> <change-results-dir>")
@@ -123,24 +121,46 @@ func compare(args []string) error {
 	if err != nil {
 		return err
 	}
+	return compareRecords(os.Stdout, sp, base, change)
+}
+
+// compareRecords reports, for every workload and metric, both medians,
+// the base side's quartiles and whether the change stayed within the
+// metric's bound. It refuses records from different machines and
+// incorrect runs, and it fails when an end-to-end metric of a workload
+// has values on one side only: a change that was not measured is not
+// judged as passing.
+func compareRecords(out io.Writer, sp *spec, base, change []runRecord) error {
 	var machine string
-	for _, recs := range [][]runRecord{base, change} {
-		for _, r := range recs {
+	var incorrect []string
+	for _, side := range []struct {
+		name string
+		recs []runRecord
+	}{{"base", base}, {"change", change}} {
+		for _, r := range side.recs {
 			m := r.Stamp.machine()
 			if machine == "" {
 				machine = m
 			} else if m != machine {
 				return fmt.Errorf("refusing to compare results from different machines:\n  %s\n  %s", machine, m)
 			}
+			if !r.Result.Correct {
+				incorrect = append(incorrect, fmt.Sprintf("%s %s seed %d trace %v", side.name, r.Workload, r.Seed, r.Trace))
+			}
 		}
 	}
-	fmt.Printf("machine: %s\nbase: %s\nchange: %s\n", machine, commits(base), commits(change))
-	defs := append(append([]metricSpec(nil), sp.EndToEnd...), sp.PerLayer...)
-	worse := 0
+	if len(incorrect) > 0 {
+		return fmt.Errorf("refusing to compare incorrect runs: %s", strings.Join(incorrect, "; "))
+	}
+	fmt.Fprintf(out, "machine: %s\nbase: %s\nchange: %s\n", machine, commits(base), commits(change))
+	var problems []string
 	for _, w := range workloads {
-		for _, d := range defs {
+		for _, d := range append(append([]metricSpec(nil), sp.EndToEnd...), sp.PerLayer...) {
 			bv, cv := values(base, w.name, d.Name), values(change, w.name, d.Name)
 			if len(bv) == 0 || len(cv) == 0 {
+				if d.Bound > 0 && len(bv)+len(cv) > 0 {
+					problems = append(problems, fmt.Sprintf("%s %s has values on one side only", w.name, d.Name))
+				}
 				continue
 			}
 			bm, cm := median(bv), median(cv)
@@ -154,15 +174,15 @@ func compare(args []string) error {
 				verdict = "ok"
 				if change > d.Bound {
 					verdict = "WORSE"
-					worse++
+					problems = append(problems, fmt.Sprintf("%s %s worse than its bound", w.name, d.Name))
 				}
 			}
-			fmt.Printf("%-16s %-30s base %12.4f [%.4f, %.4f] change %12.4f %s %s\n",
+			fmt.Fprintf(out, "%-16s %-30s base %12.4f [%.4f, %.4f] change %12.4f %s %s\n",
 				w.name, d.Name, bm, q1, q3, cm, d.Unit, verdict)
 		}
 	}
-	if worse > 0 {
-		return fmt.Errorf("%d end-to-end metric(s) worse than their bound", worse)
+	if len(problems) > 0 {
+		return fmt.Errorf("%d problem(s): %s", len(problems), strings.Join(problems, "; "))
 	}
 	return nil
 }
@@ -206,7 +226,7 @@ func commits(recs []runRecord) string {
 func values(recs []runRecord, workload, metricName string) []float64 {
 	var out []float64
 	for _, r := range recs {
-		if m, ok := r.Result.Metrics[metricName]; ok && r.Workload == workload && r.Result.Correct {
+		if m, ok := r.Result.Metrics[metricName]; ok && r.Workload == workload {
 			out = append(out, m.Value)
 		}
 	}

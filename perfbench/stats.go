@@ -60,14 +60,3 @@ func quartiles(xs []float64) (q1, q3 float64) {
 	}
 	return at(1), at(3)
 }
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t / float64(len(xs))
-}

@@ -51,6 +51,11 @@ func layerOf(r *record) int {
 type jobSpans struct {
 	complete bool
 	lost     int // records the daemons cut from the dump
+	// ringDropped is the daemon's lifetime count of span records its ring
+	// overwrote, as of this fetch. With one job sampled per fetch the ring
+	// overwrites unsampled jobs' records all the time; only lost says
+	// whether a sampled job's spans were missing.
+	ringDropped uint64
 
 	layers [nLayers]float64
 
@@ -101,6 +106,7 @@ func fetchSpans(c *conn, traceID string, rtt time.Duration) (*jobSpans, error) {
 	}
 	js := analyzeSpans(r.Trace.Records, rtt)
 	js.lost += r.Trace.Truncated
+	js.ringDropped = r.Trace.Dropped
 	return js, nil
 }
 

@@ -20,25 +20,19 @@ type workload struct {
 	// for input in.
 	image    func(tag string) string
 	expected func(tag string, in []byte) []byte
-	// distinctImages gives every tenant its own image (tagged by the
-	// tenant); otherwise all tenants share one image. Attested workloads
-	// need it: palsvc binds the attested identity to the image, so tenants
-	// sharing an image share one verified name (internal/palsvc/job.go),
-	// and verified_as could not be checked against the submitted name.
-	distinctImages bool
-	noAttest       bool
-	// maxBatch is the quote-batch bound responses must respect; 0 means
-	// quotes are one-shot and batch_size must be absent.
+	noAttest bool
+	// maxBatch is the daemon's -quote-batch bound, which responses must
+	// respect; 0 means quotes are one-shot and batch_size must be absent.
 	maxBatch int
-	// checkVirtual enables the simulated-statistics identity check
-	// against reference.json.
-	checkVirtual bool
 }
 
 // benchPAL is the repository's 5-instruction benchmark PAL: it writes a
-// fixed 5-byte message to its output. The variants used for distinct
-// images replace the message with a 5-character tenant tag, so every image
-// has the same length and the same virtual cost.
+// fixed 5-byte message to its output. Each tenant's variant replaces the
+// message with its 5-character tag, so every image has the same length and
+// the same virtual cost. The attested workloads need one image per tenant:
+// palsvc binds the attested identity to the image, so tenants sharing an
+// image share one verified name (internal/palsvc/job.go), and verified_as
+// could not be checked against the submitted name.
 func benchPAL(tag string) string {
 	return fmt.Sprintf("\tldi r0, msg\n\tldi r1, 5\n\tsvc 6\n\tldi r0, 0\n\tsvc 0\nmsg:\t.ascii %q\n", tag)
 }
@@ -65,45 +59,38 @@ buf:	.ascii "--------------------------------"
 
 var workloads = []*workload{
 	{
-		name:           "attest-direct",
-		args:           []string{"-machines", "1", "-sepcrs", "8", "-keybits", "1024", "-seed", "42"},
-		tenants:        4,
-		image:          benchPAL,
-		expected:       func(tag string, _ []byte) []byte { return []byte(tag) },
-		distinctImages: true,
-		checkVirtual:   true,
+		name:     "attest-direct",
+		args:     []string{"-machines", "1", "-sepcrs", "8", "-keybits", "1024", "-seed", "42"},
+		tenants:  4,
+		image:    benchPAL,
+		expected: func(tag string, _ []byte) []byte { return []byte(tag) },
 	},
 	{
 		name:   "noattest-routed",
 		routed: true,
 		args: []string{"-spawn", "2", "-machines", "1", "-sepcrs", "8",
 			"-keybits", "1024", "-seed", "42"},
-		tenants:        64,
-		image:          benchPAL,
-		expected:       func(tag string, _ []byte) []byte { return []byte(tag) },
-		distinctImages: true,
-		noAttest:       true,
-		checkVirtual:   true,
+		tenants:  64,
+		image:    benchPAL,
+		expected: func(tag string, _ []byte) []byte { return []byte(tag) },
+		noAttest: true,
 	},
 	{
-		name: "attest-batched",
-		args: []string{"-machines", "1", "-sepcrs", "8", "-keybits", "1024", "-seed", "42",
-			"-quote-batch", "8"},
-		tenants:        4,
-		image:          benchPAL,
-		expected:       func(tag string, _ []byte) []byte { return []byte(tag) },
-		distinctImages: true,
-		maxBatch:       8,
+		name:     "attest-batched",
+		args:     []string{"-machines", "1", "-sepcrs", "8", "-keybits", "1024", "-seed", "42"},
+		tenants:  4,
+		image:    benchPAL,
+		expected: func(tag string, _ []byte) []byte { return []byte(tag) },
+		maxBatch: 8,
 	},
 	{
 		name: "preempt-compute",
 		args: []string{"-machines", "1", "-sepcrs", "8", "-keybits", "1024", "-seed", "42",
 			"-quantum", "1us"},
-		tenants:      4,
-		image:        func(string) string { return busyPAL },
-		expected:     func(_ string, in []byte) []byte { return in },
-		noAttest:     true,
-		checkVirtual: true,
+		tenants:  4,
+		image:    func(string) string { return busyPAL },
+		expected: func(_ string, in []byte) []byte { return in },
+		noAttest: true,
 	},
 }
 
@@ -137,13 +124,7 @@ func (w *workload) tenantsFor(seed int64) []tenant {
 			continue
 		}
 		seen[string(tag)] = true
-		t := tenant{name: "tenant-" + string(tag), tag: string(tag)}
-		if w.distinctImages {
-			t.source = w.image(t.tag)
-		} else {
-			t.source = w.image("")
-		}
-		out = append(out, t)
+		out = append(out, tenant{name: "tenant-" + string(tag), tag: string(tag), source: w.image(string(tag))})
 	}
 	return out
 }

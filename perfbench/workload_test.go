@@ -110,18 +110,25 @@ func TestVirtualCheck(t *testing.T) {
 	}
 }
 
-func TestReferenceCoversCheckedWorkloads(t *testing.T) {
+func TestReferenceEntries(t *testing.T) {
 	refs, err := loadReferences()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range workloads {
-		r, ok := refs[w.name]
-		if w.checkVirtual != ok {
-			t.Errorf("%s: identity check %v but reference entry %v", w.name, w.checkVirtual, ok)
-		}
-		if ok && !w.noAttest && len(r.QuoteGenNS) != referenceQuotes {
-			t.Errorf("%s: %d reference quote draws, want %d", w.name, len(r.QuoteGenNS), referenceQuotes)
+	if len(refs) == 0 {
+		t.Fatal("reference.json has no entries")
+	}
+	for name, r := range refs {
+		w := findWorkload(name)
+		switch {
+		case w == nil:
+			t.Errorf("reference entry %s names no workload", name)
+		case r.ExecuteNS <= 0:
+			t.Errorf("%s: execute_ns %d", name, r.ExecuteNS)
+		case w.noAttest && len(r.QuoteGenNS) != 0:
+			t.Errorf("%s: unattested workload with %d quote draws", name, len(r.QuoteGenNS))
+		case !w.noAttest && len(r.QuoteGenNS) != referenceQuotes:
+			t.Errorf("%s: %d reference quote draws, want %d", name, len(r.QuoteGenNS), referenceQuotes)
 		}
 	}
 }
