@@ -101,20 +101,30 @@ func (d *daemon) stop() {
 	}
 }
 
-// peakRSSMiB reads the process's VmHWM (peak resident set) in MiB.
+// peakRSSMiB sums VmHWM (peak resident set) over the daemon and its
+// descendants, in MiB.
 func (d *daemon) peakRSSMiB() (float64, error) {
-	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", d.cmd.Process.Pid))
+	var total float64
+	for _, pid := range processTree(d.cmd.Process.Pid) {
+		kb, err := vmHWM(pid)
+		if err != nil {
+			return 0, err
+		}
+		total += kb / 1024
+	}
+	return total, nil
+}
+
+// vmHWM reads one process's VmHWM in KiB.
+func vmHWM(pid int) (float64, error) {
+	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", pid))
 	if err != nil {
 		return 0, err
 	}
 	for _, line := range strings.Split(string(b), "\n") {
 		if f := strings.Fields(line); len(f) >= 2 && f[0] == "VmHWM:" {
-			kb, err := strconv.ParseFloat(f[1], 64)
-			if err != nil {
-				return 0, err
-			}
-			return kb / 1024, nil
+			return strconv.ParseFloat(f[1], 64)
 		}
 	}
-	return 0, fmt.Errorf("no VmHWM in /proc/%d/status", d.cmd.Process.Pid)
+	return 0, fmt.Errorf("no VmHWM in /proc/%d/status", pid)
 }

@@ -22,7 +22,7 @@ func (b *bench) perLayer(measure time.Duration) error {
 	}
 	plain := b.measurePhase(in, half, false)
 	b.retire(in)
-	plainRate := float64(len(plain.jobs)) / half.Seconds()
+	wallClock(b.vals, plain, half)
 
 	if in, err = b.boot(true); err != nil {
 		return err
@@ -33,7 +33,7 @@ func (b *bench) perLayer(measure time.Duration) error {
 	if err != nil {
 		return err
 	}
-	b.layerMetrics(r, half, plainRate, percentile(latenciesMS(plain), 99), st, prom)
+	b.layerMetrics(r, half, st, prom)
 	return nil
 }
 
@@ -96,20 +96,17 @@ func ratio(a, b float64) float64 {
 // layerMetrics fills the per-layer values. Times are host microseconds
 // per job unless the name says otherwise; vtime.* are the simulator's
 // virtual clock and are never added to host time.
-func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, plainP99 float64, st *stats, prom map[string]float64) {
+func (b *bench) layerMetrics(r *loadResult, window time.Duration, st *stats, prom map[string]float64) {
+	plainRate := b.vals["jobs_per_s"]
 	var n, rtt, lost, vex, reqB, respB, retries, batch, vq float64
 	var ringDropped uint64
 	var t jobSpans // sums over the traced jobs whose spans are complete
-	backends := map[string]float64{}
 	for _, o := range r.jobs {
 		reqB += float64(o.reqBytes)
 		respB += float64(o.respBytes)
 		retries += float64(o.attempts - 1)
 		batch += float64(o.batch)
 		vq += float64(o.quoteNS)
-		if o.backend != "" {
-			backends[o.backend]++
-		}
 		js := o.spans
 		if js == nil {
 			continue
@@ -126,12 +123,6 @@ func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, pla
 	}
 	jobs := float64(len(r.jobs))
 	perJobUS := func(ns float64) float64 { return ratio(ns, n) / 1e3 }
-	var shareMax float64
-	for _, c := range backends {
-		if s := c / jobs; s > shareMax {
-			shareMax = s
-		}
-	}
 	v := b.vals
 	v["wire.rtt_us"] = perJobUS(rtt)
 	v["wire.residual_us"] = perJobUS(t.layers[layerWire])
@@ -140,7 +131,7 @@ func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, pla
 	v["cluster.route_self_us"] = perJobUS(t.routeSelf)
 	v["cluster.hop_us"] = perJobUS(t.hop)
 	v["cluster.forwards_per_job"] = ratio(float64(t.forwards), n)
-	v["cluster.backend_share_max"] = shareMax
+	v["cluster.backend_share_max"] = backendShareMax(r.jobs)
 	v["palsvc.queue_wait_us"] = perJobUS(t.queue)
 	v["palsvc.admit_us"] = perJobUS(t.admit)
 	v["palsvc.arb_wait_us"] = perJobUS(t.arb)
@@ -175,14 +166,12 @@ func (b *bench) layerMetrics(r *loadResult, window time.Duration, plainRate, pla
 	v["trace.overhead_ratio"] = ratio(plainRate, jobs/(window-r.paused).Seconds())
 	v["trace.dropped"] = lost
 	v["layers.unattributed_ratio"] = ratio(t.layers[layerUnattributed], rtt)
-	v["tail.latency_p99_ms"] = plainP99
 	for i, name := range layerNames {
 		v["layers."+name+"_us"] = perJobUS(t.layers[i])
 	}
 	b.diag["traced_jobs"] = n
 	b.diag["trace.fetch_pause_s"] = r.paused.Seconds()
 	b.diag["trace.ring_overwritten"] = float64(ringDropped)
-	b.diag["jobs_per_s.untraced"] = plainRate
 }
 
 // printLayerTable writes the human-readable layer table of a traced run.
@@ -194,4 +183,18 @@ func printLayerTable(w io.Writer, v map[string]float64) {
 		fmt.Fprintf(w, "%-14s %10.1f %6.1f%%\n", name, us, 100*ratio(us, total))
 	}
 	fmt.Fprintf(w, "%-14s %10.1f\n", "rtt (traced)", total)
+}
+
+// backendShareMax is the largest share of jobs one backend answered; 0
+// when no answer named a backend (unrouted workloads).
+func backendShareMax(jobs []outcome) float64 {
+	count := map[string]float64{}
+	var shareMax float64
+	for _, o := range jobs {
+		if o.backend != "" {
+			count[o.backend]++
+			shareMax = max(shareMax, count[o.backend]/float64(len(jobs)))
+		}
+	}
+	return shareMax
 }

@@ -40,6 +40,10 @@ type loadResult struct {
 	// paused is the time measured jobs' trace fetches held the loop
 	// with no job in flight; the traced rate excludes it.
 	paused time.Duration
+	// usage is what the measured window cost in CPU time, and slices
+	// what each part of it cost and the clock rate it ran at (cpu.go).
+	usage  usage
+	slices []slice
 }
 
 // clientSpan is the parent span ID the benchmark's own send→decode span
@@ -60,6 +64,7 @@ type phase struct {
 	measure time.Duration
 	traced  bool
 	check   *virtualCheck // nil when the workload has no identity check
+	pid     int           // the daemon's process, for CPU accounting
 }
 
 // run drives clients connections for warmup+measure and returns the jobs
@@ -89,6 +94,11 @@ func (p *phase) run() *loadResult {
 	var quiet sync.RWMutex
 	var nextFetch atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		res.watch(p.pid)
+	}()
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(client int) {

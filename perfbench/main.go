@@ -36,7 +36,7 @@ const (
 // setups is how many times a run boots its daemons; setup_s reports the
 // median, and the last boot serves the measured phase. Boot time is
 // heavy-tailed (RSA key generation searches for primes), hence several.
-const setups = 7
+const setups = 15
 
 // warmup lets the image cache, launch caches and threaded code fill
 // before the measured window opens.
@@ -308,7 +308,8 @@ func (b *bench) retire(in *instance) {
 // measurePhase runs the closed loop against in and folds its counts into b.
 func (b *bench) measurePhase(in *instance, measure time.Duration, traced bool) *loadResult {
 	p := &phase{w: b.w, addr: in.d.addr, tenants: b.tenants, seed: b.seed,
-		warmup: warmup, measure: measure, traced: traced, check: in.check}
+		warmup: warmup, measure: measure, traced: traced, check: in.check,
+		pid: in.d.cmd.Process.Pid}
 	r := p.run()
 	b.attempted += r.attempted
 	b.failed += r.failed
@@ -341,19 +342,36 @@ func (b *bench) endToEnd(measure time.Duration) error {
 	if err != nil {
 		return err
 	}
-	lat := latenciesMS(r)
-	b.vals["jobs_per_s"] = float64(len(r.jobs)) / measure.Seconds()
-	b.vals["latency_p50_ms"] = percentile(lat, 50)
-	b.vals["latency_p90_ms"] = percentile(lat, 90)
+	b.vals["cpu_mcycles_per_job"] = cpuMcyclesPerJob(r)
 	b.vals["ok_ratio"] = okRatio(b.attempted, b.failed)
 	b.vals["setup_s"] = median(setupS)
 	b.vals["peak_rss_mb"] = rss
-	b.diag["tail.latency_p99_ms"] = percentile(lat, 99)
-	b.diag["samples"] = float64(len(lat))
+	// Throughput and latency move with how much of the shared host the
+	// run gets; they are reported, not gated (README.md).
+	wallClock(b.diag, r, measure)
+	b.diag["samples"] = float64(len(r.jobs))
+	b.diag["cpu.client_s"] = r.usage.client.Seconds()
+	b.diag["cpu.clock_ghz"] = windowClockGHz(r)
+	b.diag["cpu.daemon_ms_per_job"] = 1e3 * ratio(r.usage.daemon.Seconds(), float64(len(r.jobs)))
+	b.diag["cluster.backend_share_max"] = backendShareMax(r.jobs)
+	b.diag["cpu.steal_ratio"] = ratio(float64(r.usage.steal), float64(r.usage.ticks))
+	b.diag["cpu.daemon_s"] = r.usage.daemon.Seconds()
+	b.diag["cpu.machine_busy_s"] = float64(r.usage.busy) * clockTick.Seconds()
+	b.diag["cpu.machine_steal_s"] = float64(r.usage.steal) * clockTick.Seconds()
 	for i, s := range setupS {
 		b.diag[fmt.Sprintf("setup_s.%d", i)] = s
 	}
 	return nil
+}
+
+// wallClock records a phase's wall-clock throughput and latency
+// percentiles into v.
+func wallClock(v map[string]float64, r *loadResult, window time.Duration) {
+	lat := latenciesMS(r)
+	v["jobs_per_s"] = float64(len(r.jobs)) / window.Seconds()
+	v["latency_p50_ms"] = percentile(lat, 50)
+	v["latency_p90_ms"] = percentile(lat, 90)
+	v["tail.latency_p99_ms"] = percentile(lat, 99)
 }
 
 func okRatio(attempted, failed int) float64 {

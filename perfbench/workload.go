@@ -76,12 +76,20 @@ var workloads = []*workload{
 		noAttest: true,
 	},
 	{
-		name:     "attest-batched",
-		args:     []string{"-machines", "1", "-sepcrs", "8", "-keybits", "1024", "-seed", "42"},
+		// A batch flushes when it is full or when its linger runs out. With
+		// the bound equal to the closed loop's connection count, every batch
+		// takes one job from each connection and flushes at once, so how
+		// many jobs share a signature does not depend on host timing; the
+		// 5ms linger only ends a batch whose partner job is stalled. A
+		// larger bound never fills, so every batch would wait out the
+		// linger and the jobs per signature would follow the scheduler.
+		name: "attest-batched",
+		args: []string{"-machines", "1", "-sepcrs", "8", "-keybits", "1024", "-seed", "42",
+			"-quote-batch-wait", "5ms"},
 		tenants:  4,
 		image:    benchPAL,
 		expected: func(tag string, _ []byte) []byte { return []byte(tag) },
-		maxBatch: 8,
+		maxBatch: clients,
 	},
 	{
 		name: "preempt-compute",

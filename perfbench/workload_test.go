@@ -39,7 +39,7 @@ func TestCheckOutput(t *testing.T) {
 			r.VerifiedAs = j.tenant.name
 		}
 		if w.maxBatch > 0 {
-			r.BatchSize = 3
+			r.BatchSize = w.maxBatch
 		}
 		return j, r
 	}
@@ -57,7 +57,7 @@ func TestCheckOutput(t *testing.T) {
 		{"missing verified_as", direct, func(_ *job, r *response) { r.VerifiedAs = "" }, "verified_as"},
 		{"not ok", direct, func(_ *job, r *response) { r.OK, r.Err = false, "boom" }, "not ok"},
 		{"exit status", routed, func(_ *job, r *response) { r.ExitStatus = 1 }, "exit status"},
-		{"batch too large", batched, func(_ *job, r *response) { r.BatchSize = 9 }, "batch_size"},
+		{"batch too large", batched, func(_ *job, r *response) { r.BatchSize = batched.maxBatch + 1 }, "batch_size"},
 		{"batch missing", batched, func(_ *job, r *response) { r.BatchSize = 0 }, "batch_size"},
 		{"one-shot claims batch", direct, func(_ *job, r *response) { r.BatchSize = 2 }, "batch_size"},
 	} {
