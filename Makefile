@@ -24,7 +24,7 @@ race:
 	$(GO) test -race ./internal/palsvc ./internal/cluster ./internal/attest \
 		./internal/obs ./internal/obs/prof ./internal/cpu ./internal/mem \
 		./internal/chaos ./internal/sksm ./internal/audit \
-		./cmd/palservd ./cmd/attestd
+		./cmd/palservd ./cmd/palrouter ./cmd/attestd
 
 # soak drives the fault-injected zero-loss/zero-leak acceptance run (see
 # docs/RESILIENCE.md): a multi-replica service under the "soak" profile over

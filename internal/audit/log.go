@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"minimaltcb/internal/merkle"
 	"minimaltcb/internal/obs"
 	"minimaltcb/internal/sim"
 )
@@ -23,11 +24,11 @@ import (
 // (SHA-1 because that is the modeled TPM's hash mill — see tpm.Measure);
 // it is empty when the log has no signer (a verifier-side or router log).
 type TreeHead struct {
-	Size   uint64 `json:"size"`
-	Root   Hash   `json:"root"`
-	Node   string `json:"node,omitempty"`
-	VirtNS int64  `json:"virt_ns"`
-	Sig    []byte `json:"sig,omitempty"`
+	Size   uint64      `json:"size"`
+	Root   merkle.Hash `json:"root"`
+	Node   string      `json:"node,omitempty"`
+	VirtNS int64       `json:"virt_ns"`
+	Sig    []byte      `json:"sig,omitempty"`
 }
 
 // headDomain is the domain-separation prefix of every head signing message.
@@ -117,7 +118,7 @@ type Log struct {
 
 	mu       sync.Mutex
 	events   []Event
-	leaves   []Hash
+	leaves   []merkle.Hash
 	heads    []TreeHead
 	signer   HeadSigner
 	dropped  uint64
@@ -195,7 +196,7 @@ func (l *Log) recover() error {
 					seg, e.Seq, len(l.events))
 			}
 			l.scratch = e.Canonical(l.scratch[:0])
-			l.leaves = append(l.leaves, LeafHash(l.scratch))
+			l.leaves = append(l.leaves, merkle.LeafHash(l.scratch))
 			l.events = append(l.events, e)
 		}
 		l.segIndex = seg
@@ -333,7 +334,7 @@ func (l *Log) Append(e Event) {
 	}
 	e.clamp()
 	l.scratch = e.Canonical(l.scratch[:0])
-	l.leaves = append(l.leaves, LeafHash(l.scratch))
+	l.leaves = append(l.leaves, merkle.LeafHash(l.scratch))
 	l.events = append(l.events, e)
 	l.persistLocked(&e)
 	if len(l.events)%l.cfg.HeadEvery == 0 {
@@ -407,7 +408,7 @@ func (l *Log) emitHeadLocked() {
 	}
 	h := TreeHead{
 		Size: uint64(len(l.events)),
-		Root: MerkleRoot(l.leaves),
+		Root: merkle.Root(l.leaves),
 		Node: l.cfg.Node,
 	}
 	if n := len(l.events); n > 0 {
@@ -575,7 +576,7 @@ func FilterEvents(events []Event, q Query) (matched []Event, truncated int) {
 // Prove generates an inclusion proof for event seq against the newest head.
 // It returns the proof, the head, and false when seq is not yet covered by
 // any head.
-func (l *Log) Prove(seq uint64) (proof []Hash, head *TreeHead, ok bool) {
+func (l *Log) Prove(seq uint64) (proof []merkle.Hash, head *TreeHead, ok bool) {
 	if l == nil {
 		return nil, nil, false
 	}
@@ -588,7 +589,7 @@ func (l *Log) Prove(seq uint64) (proof []Hash, head *TreeHead, ok bool) {
 	if seq >= h.Size {
 		return nil, nil, false
 	}
-	return InclusionProof(l.leaves[:h.Size], int(seq)), &h, true
+	return merkle.InclusionProof(l.leaves[:h.Size], int(seq)), &h, true
 }
 
 // --- segment and head file I/O, shared with the offline verifier ---

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"minimaltcb/internal/lpc"
+	"minimaltcb/internal/merkle"
 	"minimaltcb/internal/sim"
 	"minimaltcb/internal/tpm"
 )
@@ -345,8 +346,8 @@ func TestProveInclusionLive(t *testing.T) {
 		t.Fatal("no proof for covered event")
 	}
 	events, _ := l.Select(Query{})
-	leaf := LeafHash(events[7].Canonical(nil))
-	if !VerifyInclusion(leaf, 7, int(head.Size), proof, head.Root) {
+	leaf := merkle.LeafHash(events[7].Canonical(nil))
+	if !merkle.VerifyInclusion(leaf, 7, int(head.Size), proof, head.Root) {
 		t.Fatal("live inclusion proof rejected")
 	}
 	l.Close()

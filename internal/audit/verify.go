@@ -11,13 +11,15 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+
+	"minimaltcb/internal/merkle"
 )
 
 // This file is the standalone verifier: everything needed to audit a log
 // directory offline — no Log, no TPM, no network. tcbaudit -verify and the
 // soak teardowns call VerifyChain; the pieces (LoadDir, VerifySignature,
-// the proof verifiers in merkle.go) are exported for callers that want to
-// check a single claim.
+// and internal/merkle's proof verifiers) are exported for callers that
+// want to check a single claim.
 
 // verifyPKCS1v15SHA1 checks an AIK signature over a SHA-1 digest. The
 // modeled TPM is a v1.2 device, whose signing mill is SHA-1/PKCS#1 v1.5 —
@@ -203,7 +205,7 @@ func VerifyChain(dir string) (*Report, error) {
 	r.Segments = len(segs)
 	var (
 		events  []Event
-		leaves  []Hash
+		leaves  []merkle.Hash
 		scratch []byte
 	)
 	for i, seg := range segs {
@@ -219,7 +221,7 @@ func VerifyChain(dir string) (*Report, error) {
 				r.problemf("segment %d: seq %d where %d expected (gap or reorder)", seg, e.Seq, len(events))
 			}
 			scratch = e.Canonical(scratch[:0])
-			leaves = append(leaves, LeafHash(scratch))
+			leaves = append(leaves, merkle.LeafHash(scratch))
 			events = append(events, e)
 		}
 	}
@@ -245,7 +247,7 @@ func VerifyChain(dir string) (*Report, error) {
 			r.problemf("head %d covers %d events but only %d are persisted", i, h.Size, len(leaves))
 			continue
 		}
-		if got := MerkleRoot(leaves[:h.Size]); got != h.Root {
+		if got := merkle.Root(leaves[:h.Size]); got != h.Root {
 			r.problemf("head %d (size %d): root %s does not match recomputation %s",
 				i, h.Size, h.Root, got)
 		}
@@ -256,8 +258,8 @@ func VerifyChain(dir string) (*Report, error) {
 			if h.Size < prev.Size {
 				r.problemf("head %d shrank: %d after %d (log rollback)", i, h.Size, prev.Size)
 			} else {
-				proof := ConsistencyProof(leaves[:h.Size], int(prev.Size))
-				if !VerifyConsistency(int(prev.Size), int(h.Size), prev.Root, h.Root, proof) {
+				proof := merkle.ConsistencyProof(leaves[:h.Size], int(prev.Size))
+				if !merkle.VerifyConsistency(int(prev.Size), int(h.Size), prev.Root, h.Root, proof) {
 					r.problemf("heads %d->%d (sizes %d->%d) fail consistency: history rewritten",
 						i-1, i, prev.Size, h.Size)
 				}
@@ -276,8 +278,8 @@ func VerifyChain(dir string) (*Report, error) {
 	r.Uncovered = len(events) - int(prev.Size)
 	covered := leaves[:prev.Size]
 	for i := range covered {
-		proof := InclusionProof(covered, i)
-		if !VerifyInclusion(covered[i], i, int(prev.Size), proof, prev.Root) {
+		proof := merkle.InclusionProof(covered, i)
+		if !merkle.VerifyInclusion(covered[i], i, int(prev.Size), proof, prev.Root) {
 			r.problemf("event %d fails inclusion against the newest head", i)
 		}
 	}
@@ -294,6 +296,6 @@ func EventKey(e *Event) string {
 // hexLeaf is a debugging helper: the leaf hash of an event's canonical
 // form, as hex.
 func hexLeaf(e *Event) string {
-	h := LeafHash(e.Canonical(nil))
+	h := merkle.LeafHash(e.Canonical(nil))
 	return hex.EncodeToString(h[:])
 }

@@ -87,30 +87,33 @@ func newBackend(addr string, poolSize int, dialTimeout, reqTimeout time.Duration
 	}
 }
 
-// get checks out a pooled connection or dials a fresh one. Dialing is
-// bounded by the backend's dial timeout and includes the ping handshake, so
-// a black-holed backend fails fast instead of hanging the router's worker.
-func (b *backend) get() (*palsvc.Client, error) {
+// do runs fn on a connection checked out of the pool, dialing a fresh one
+// when the pool is empty. Dialing is bounded by the backend's dial timeout
+// and includes the ping handshake, so a black-holed backend fails fast
+// instead of hanging the router's worker. The connection goes back to the
+// pool (or is closed, when the pool is full) only after fn succeeds; any
+// error closes it, so the pool never recycles a torn stream.
+func (b *backend) do(fn func(*palsvc.Client) error) error {
+	var c *palsvc.Client
 	select {
-	case c := <-b.pool:
-		return c, nil
+	case c = <-b.pool:
 	default:
+		var err error
+		if c, err = palsvc.Dial(b.addr, b.dialTimeout); err != nil {
+			return err
+		}
+		c.SetTimeout(b.reqTimeout)
 	}
-	c, err := palsvc.Dial(b.addr, b.dialTimeout)
-	if err != nil {
-		return nil, err
+	if err := fn(c); err != nil {
+		_ = c.Close()
+		return err
 	}
-	c.SetTimeout(b.reqTimeout)
-	return c, nil
-}
-
-// put returns a healthy connection to the pool, closing it when full.
-func (b *backend) put(c *palsvc.Client) {
 	select {
 	case b.pool <- c:
 	default:
 		_ = c.Close()
 	}
+	return nil
 }
 
 // drainPool closes every idle connection — called when the backend goes

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -225,7 +224,7 @@ func startStub(t *testing.T, health *palsvc.HealthInfo, stats palsvc.Metrics) *s
 	}
 	s := &stubBackend{l: l, health: health, stats: stats}
 	t.Cleanup(func() { l.Close() })
-	go s.serve()
+	go func() { _ = palsvc.ServeWire(l, 0, s.answer) }()
 	return s
 }
 
@@ -235,38 +234,6 @@ func (s *stubBackend) setHealth(h *palsvc.HealthInfo) {
 	s.mu.Lock()
 	s.health = h
 	s.mu.Unlock()
-}
-
-func (s *stubBackend) serve() {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return
-		}
-		go func(c net.Conn) {
-			defer c.Close()
-			for {
-				body, err := palsvc.ReadFrame(c)
-				if err != nil {
-					return
-				}
-				var req palsvc.WireRequest
-				resp := &palsvc.WireResponse{}
-				if err := json.Unmarshal(body, &req); err != nil {
-					resp.Err = err.Error()
-				} else {
-					resp = s.answer(&req)
-				}
-				out, err := json.Marshal(resp)
-				if err != nil {
-					return
-				}
-				if err := palsvc.WriteFrame(c, out); err != nil {
-					return
-				}
-			}
-		}(conn)
-	}
 }
 
 func (s *stubBackend) answer(req *palsvc.WireRequest) *palsvc.WireResponse {

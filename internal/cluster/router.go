@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -67,6 +66,10 @@ type Config struct {
 	// own nodes. Nil disables router auditing.
 	Audit *audit.Log
 }
+
+// fleetAuditSlice bounds how many audit events FleetAudit takes from the
+// router's own log and from each backend's.
+const fleetAuditSlice = 256
 
 // ErrNoBackends is returned by New for an empty backend list.
 var ErrNoBackends = errors.New("cluster: no backends configured")
@@ -173,51 +176,10 @@ func (r *Router) Placement(source string) []string {
 	return r.ring.Successors(RouteKey(source), 1+r.cfg.StealDepth)
 }
 
-// Serve accepts tenant connections until the listener closes, mirroring
-// palsvc.Service.Serve: one goroutine per connection, connTimeout bounding
-// each request read/response write.
+// Serve answers tenant connections on l with palsvc.ServeWire until the
+// listener closes.
 func (r *Router) Serve(l net.Listener, connTimeout time.Duration) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go func(c net.Conn) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					_ = c.Close()
-				}
-			}()
-			defer c.Close()
-			r.serveConn(c, connTimeout)
-		}(conn)
-	}
-}
-
-func (r *Router) serveConn(c net.Conn, connTimeout time.Duration) {
-	for {
-		if connTimeout > 0 {
-			_ = c.SetDeadline(time.Now().Add(connTimeout))
-		}
-		body, err := palsvc.ReadFrame(c)
-		if err != nil {
-			return
-		}
-		var req palsvc.WireRequest
-		resp := &palsvc.WireResponse{}
-		if err := json.Unmarshal(body, &req); err != nil {
-			resp.Err = "bad request: " + err.Error()
-		} else {
-			resp = r.dispatch(&req)
-		}
-		out, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		if err := palsvc.WriteFrame(c, out); err != nil {
-			return
-		}
-	}
+	return palsvc.ServeWire(l, connTimeout, r.dispatch)
 }
 
 // dispatch answers one wire request: run is routed, ping answered locally,
@@ -279,7 +241,7 @@ func (r *Router) route(req *palsvc.WireRequest) *palsvc.WireResponse {
 	// trace fields) forwards untouched.
 	var route *obs.Span
 	if r.cfg.Tracer.Enabled() {
-		ctx := routeTraceContext(req)
+		ctx := req.TraceContext()
 		if ctx.Trace.IsZero() {
 			ctx = r.cfg.Tracer.NewTrace()
 		}
@@ -306,7 +268,11 @@ func (r *Router) route(req *palsvc.WireRequest) *palsvc.WireResponse {
 			cp.ParentSpan = fs.Context().Span
 			fwd = &cp
 		}
-		resp, err := r.forward(b, fwd)
+		var resp *palsvc.WireResponse
+		err := b.do(func(c *palsvc.Client) (err error) {
+			resp, err = c.Do(fwd)
+			return err
+		})
 		if err != nil {
 			if fs != nil {
 				fs.Attr("outcome", "transport_error").Attr("err", err.Error()).End()
@@ -402,19 +368,6 @@ func (r *Router) route(req *palsvc.WireRequest) *palsvc.WireResponse {
 	return resp
 }
 
-// routeTraceContext parses a request's propagated trace context; absent or
-// malformed fields yield the zero Context and the router mints a root.
-func routeTraceContext(req *palsvc.WireRequest) obs.Context {
-	if req.TraceID == "" {
-		return obs.Context{}
-	}
-	id, err := obs.ParseTraceID(req.TraceID)
-	if err != nil || id.IsZero() {
-		return obs.Context{}
-	}
-	return obs.Context{Trace: id, Span: req.ParentSpan}
-}
-
 // traceOp answers the trace wire op with a stitched cluster-wide dump.
 func (r *Router) traceOp(req *palsvc.WireRequest) *palsvc.WireResponse {
 	dump, err := r.StitchTrace(req.TraceID)
@@ -447,18 +400,16 @@ func (r *Router) StitchTrace(filter string) (*palsvc.TraceDump, error) {
 	dumps := []obs.NodeDump{{Node: "router", Records: recs, Dropped: dropped}}
 	truncated := 0
 	for _, b := range r.backends {
-		c, err := b.get()
-		if err != nil {
+		var bd *palsvc.TraceDump
+		var offset time.Duration
+		if err := b.do(func(c *palsvc.Client) (err error) {
+			bd, offset, err = c.Trace(filter)
+			return err
+		}); err != nil {
+			// Unreachable, an old build without the trace op, or a torn
+			// fetch: stitch without it.
 			continue
 		}
-		bd, offset, err := c.Trace(filter)
-		if err != nil {
-			// Old build without the trace op, or a torn fetch: drop the
-			// connection (its state is unknown) and stitch without it.
-			_ = c.Close()
-			continue
-		}
-		b.put(c)
 		truncated += bd.Truncated
 		dumps = append(dumps, obs.NodeDump{Node: b.addr, Records: bd.Records, Dropped: bd.Dropped, Offset: offset})
 	}
@@ -488,69 +439,33 @@ func (r *Router) auditOp(req *palsvc.WireRequest) *palsvc.WireResponse {
 // the audit op, or run without a log are skipped: a partial fleet view of
 // the nodes that answered beats none, the same contract as StitchTrace.
 func (r *Router) FleetAudit(req *palsvc.WireRequest) (*palsvc.AuditDump, error) {
+	// The router's own slice and each backend's share one bound, so the
+	// nested fleet answer stays inside one wire frame even on a wide
+	// cluster.
+	q, err := req.AuditQuery(fleetAuditSlice)
+	if err != nil {
+		return nil, err
+	}
 	out := &palsvc.AuditDump{Node: "router"}
 	if r.cfg.Audit != nil {
-		q := audit.Query{Tenant: req.Tenant, Image: req.Image, Since: req.Since, Limit: req.Limit}
-		if q.Limit <= 0 {
-			q.Limit = 256
-		}
-		if req.TraceID != "" {
-			id, err := obs.ParseTraceID(req.TraceID)
-			if err != nil {
-				return nil, err
-			}
-			q.Trace = id
-		}
-		// Seal the tail first so the dumped head covers every event,
-		// mirroring the backend-side contract in palsvc.auditDump.
-		r.cfg.Audit.Sync()
-		events, truncated := r.cfg.Audit.Select(q)
-		out.Node = r.cfg.Audit.Node()
-		out.Size = r.cfg.Audit.Size()
-		out.Dropped = r.cfg.Audit.Dropped()
-		out.Head = r.cfg.Audit.Head()
-		out.Truncated = truncated
-		out.Events = events
+		out = palsvc.AuditTail(r.cfg.Audit, q)
 	}
-	// Bound each backend's slice so the nested fleet answer stays inside
-	// one wire frame even on a wide cluster.
 	fwd := *req
-	if fwd.Limit <= 0 || fwd.Limit > 256 {
-		fwd.Limit = 256
-	}
+	fwd.Limit = q.Limit
 	for _, b := range r.backends {
-		c, err := b.get()
-		if err != nil {
+		var bd *palsvc.AuditDump
+		if err := b.do(func(c *palsvc.Client) (err error) {
+			bd, err = c.Audit(&fwd)
+			return err
+		}); err != nil {
 			continue
 		}
-		bd, err := c.Audit(&fwd)
-		if err != nil {
-			_ = c.Close()
-			continue
-		}
-		b.put(c)
 		if bd.Node == "" {
 			bd.Node = b.addr
 		}
 		out.Nodes = append(out.Nodes, *bd)
 	}
 	return out, nil
-}
-
-// forward sends req to b over a pooled connection. The connection is only
-// recycled after a clean round trip; any error closes it.
-func (r *Router) forward(b *backend, req *palsvc.WireRequest) (*palsvc.WireResponse, error) {
-	c, err := b.get()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	b.put(c)
-	return resp, nil
 }
 
 // noteTransportFail counts one transport failure against b and drains it
@@ -616,24 +531,18 @@ func (r *Router) probe(b *backend) {
 
 // probeOnce runs a single probe cycle against b.
 func (r *Router) probeOnce(b *backend) {
-	c, err := b.get()
-	if err != nil {
+	var h *palsvc.HealthInfo
+	var stats *palsvc.Metrics
+	if err := b.do(func(c *palsvc.Client) (err error) {
+		if h, err = c.Health(); err != nil {
+			return err
+		}
+		stats, err = c.Stats()
+		return err
+	}); err != nil {
 		r.noteTransportFail(b)
 		return
 	}
-	h, err := c.Health()
-	if err != nil {
-		_ = c.Close()
-		r.noteTransportFail(b)
-		return
-	}
-	stats, statsErr := c.Stats()
-	if statsErr != nil {
-		_ = c.Close()
-		r.noteTransportFail(b)
-		return
-	}
-	b.put(c)
 	r.noteTransportOK(b)
 
 	b.mu.Lock()

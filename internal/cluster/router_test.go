@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -216,6 +217,39 @@ func TestRouterShedsWhenRingExhausted(t *testing.T) {
 	}
 	if !resp.OK {
 		t.Fatalf("post-shed retry failed: %s", resp.Err)
+	}
+}
+
+// TestFleetAuditCapsRouterSlice: a tenant-set Limit cannot lift the bound
+// on the router's own slice of the fleet view — an uncapped slice grows
+// with the log until the answer overflows one wire frame.
+func TestFleetAuditCapsRouterSlice(t *testing.T) {
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback: %v", err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	routerLog, err := audit.Open(audit.Config{Dir: t.TempDir(), Node: "router"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routerLog.Close()
+	r := newTestRouter(t, []string{deadAddr}, func(c *Config) { c.Audit = routerLog })
+
+	const sheds = 300
+	for i := 0; i < sheds; i++ {
+		if resp := r.dispatch(&palsvc.WireRequest{Op: palsvc.OpRun, Name: "shed-me", Source: helloSource}); resp.Code != palsvc.CodeShed {
+			t.Fatalf("run %d over a dead fleet answered %+v, want shed", i, resp)
+		}
+	}
+	dump, err := r.FleetAudit(&palsvc.WireRequest{Limit: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Events) > 256 || dump.Truncated == 0 {
+		t.Fatalf("router slice holds %d events (truncated %d) of %d sheds, want at most 256 and a truncation",
+			len(dump.Events), dump.Truncated, sheds)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -210,8 +209,8 @@ func TestClusterTraceStitch(t *testing.T) {
 }
 
 // legacyBackend is the wire shape of a pre-trace palservd: it answers ping,
-// stats, and run (dropping the unknown trace/tenant JSON fields exactly as
-// an old decoder would), and reports an unknown op for health and trace.
+// stats, and run (ignoring the trace/tenant fields an old decoder drops as
+// unknown keys), and reports an unknown op for health and trace.
 func legacyBackend(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -220,43 +219,18 @@ func legacyBackend(t *testing.T) string {
 	}
 	t.Cleanup(func() { l.Close() })
 	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
+		_ = palsvc.ServeWire(l, 0, func(req *palsvc.WireRequest) *palsvc.WireResponse {
+			switch req.Op {
+			case palsvc.OpPing:
+				return &palsvc.WireResponse{OK: true}
+			case palsvc.OpStats:
+				return &palsvc.WireResponse{OK: true, Stats: &palsvc.Metrics{}}
+			case palsvc.OpRun:
+				return &palsvc.WireResponse{OK: true, Output: []byte("legacy")}
+			default:
+				return &palsvc.WireResponse{Err: `palsvc: unknown op "` + req.Op + `"`}
 			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					body, err := palsvc.ReadFrame(c)
-					if err != nil {
-						return
-					}
-					var req struct {
-						Op string `json:"op"`
-					}
-					var resp map[string]any
-					if err := json.Unmarshal(body, &req); err != nil {
-						resp = map[string]any{"err": err.Error()}
-					} else {
-						switch req.Op {
-						case "ping":
-							resp = map[string]any{"ok": true}
-						case "stats":
-							resp = map[string]any{"ok": true, "stats": &palsvc.Metrics{}}
-						case "run":
-							resp = map[string]any{"ok": true, "output": []byte("legacy")}
-						default:
-							resp = map[string]any{"err": `palsvc: unknown op "` + req.Op + `"`}
-						}
-					}
-					out, _ := json.Marshal(resp)
-					if err := palsvc.WriteFrame(c, out); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
+		})
 	}()
 	return l.Addr().String()
 }

@@ -173,10 +173,7 @@ func (s *Service) flushBatch(m *machine, items []*quoteItem) {
 		}
 		sp.EndVirt(sys.Machine.Clock.Now())
 	}
-	m.mu.Unlock()
-	for range items {
-		s.releaseSlot() // every register is Free again
-	}
+	s.releaseSlots(m, n) // every register is Free again
 
 	// The amortized accounting is the point: each job is charged its
 	// even share of the one batch quote, and the histogram records what

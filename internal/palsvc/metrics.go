@@ -163,10 +163,10 @@ func (m *metrics) admitOne() {
 	m.hooks.admitted.Inc()
 }
 
-// releaseOne drops the occupancy gauge when a job's register is free again.
-func (m *metrics) releaseOne() {
+// release drops the occupancy gauge when n jobs' registers are free again.
+func (m *metrics) release(n int) {
 	m.mu.Lock()
-	m.occupancy--
+	m.occupancy -= n
 	m.mu.Unlock()
 }
 

@@ -647,13 +647,19 @@ func (s *Service) admit(t *task) (*machine, error) {
 	}
 }
 
-// releaseSlot returns a job's admission slot to the bank and wakes one
-// waiter.
-func (s *Service) releaseSlot() {
-	s.metrics.releaseOne()
-	select {
-	case s.freed <- struct{}{}:
-	default:
+// releaseSlots returns n admission slots to the bank, unlocks m and wakes
+// waiters. The caller holds m.mu and has just freed the n registers: the
+// occupancy gauge drops before the unlock, so no job can reserve a freed
+// register while the gauge still counts it, and the gauge never reads
+// above the bank.
+func (s *Service) releaseSlots(m *machine, n int) {
+	s.metrics.release(n)
+	m.mu.Unlock()
+	for i := 0; i < n; i++ {
+		select {
+		case s.freed <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -715,8 +721,7 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 	if err != nil {
 		m.scope.Swap(prevCtx)
 		execSp.Attr("error", err.Error()).EndVirt(sys.Machine.Clock.Now())
-		m.mu.Unlock()
-		s.releaseSlot()
+		s.releaseSlots(m, 1)
 		s.noteMachineFault(m)
 		return fmt.Errorf("palsvc: allocating SECB: %w", err)
 	}
@@ -757,8 +762,7 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 		sys.SKSM.Job = prof.JobInfo{}
 		m.scope.Swap(prevCtx)
 		execSp.Attr("error", runErr.Error()).EndVirt(sys.Machine.Clock.Now())
-		m.mu.Unlock()
-		s.releaseSlot()
+		s.releaseSlots(m, 1)
 		if errors.Is(runErr, ErrDeadlineExceeded) {
 			// The job ran out of budget; the machine did nothing wrong.
 			return runErr
@@ -782,7 +786,6 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 
 	if t.job.NoAttest {
 		err := s.freeUnquoted(m, t, secb)
-		s.releaseSlot()
 		if err != nil {
 			s.noteMachineFault(m)
 			return fmt.Errorf("palsvc: freeing sePCR: %w", err)
@@ -796,7 +799,6 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 		// parked in Quote forever: free it unquoted, exactly like the
 		// NoAttest path, so the bank recovers even though the job lost.
 		ferr := s.freeUnquoted(m, t, secb)
-		s.releaseSlot()
 		if ferr != nil {
 			s.noteMachineFault(m)
 			return fmt.Errorf("palsvc: freeing sePCR after deadline: %w", ferr)
@@ -835,8 +837,7 @@ func (s *Service) execute(m *machine, t *task, p *core.PAL, res *JobResult) erro
 	if quoteSp != nil {
 		quoteSp.EndVirt(sys.Machine.Clock.Now())
 	}
-	m.mu.Unlock()
-	s.releaseSlot() // the register is Free again
+	s.releaseSlots(m, 1) // the register is Free again
 	s.metrics.observeQuote(res.QuoteGen)
 	if qerr != nil {
 		s.noteMachineFault(m)
@@ -897,6 +898,7 @@ func (s *Service) runBounded(m *machine, t *task, secb *sksm.SECB) error {
 // freeUnquoted returns a finished-but-unattested PAL's resources: the
 // sePCR via TPM_SEPCR_Free (§5.4.3) and the SECB pages via Release. Used
 // by NoAttest jobs and by deadline expiries between execute and quote.
+// It also returns the job's admission slot (see releaseSlots).
 func (s *Service) freeUnquoted(m *machine, t *task, secb *sksm.SECB) error {
 	m.mu.Lock()
 	prev := m.scope.Swap(t.root.Context())
@@ -905,7 +907,7 @@ func (s *Service) freeUnquoted(m *machine, t *task, secb *sksm.SECB) error {
 		err = rerr
 	}
 	m.scope.Swap(prev)
-	m.mu.Unlock()
+	s.releaseSlots(m, 1)
 	return err
 }
 

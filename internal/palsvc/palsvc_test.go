@@ -253,6 +253,16 @@ func TestAdmitRejectWhenBankExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Probe only once the slow job holds the register: a probe admitted
+	// first would get the slow job rejected instead.
+	for s.Metrics().SePCROccupancy == 0 {
+		select {
+		case <-slow.Done():
+			t.Skip("slow PAL finished before it was seen holding the register")
+		default:
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	var sawReject bool
 	for time.Now().Before(deadline) && !sawReject {

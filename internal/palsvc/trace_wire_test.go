@@ -1,7 +1,6 @@
 package palsvc
 
 import (
-	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -147,10 +146,10 @@ func TestWireTraceOpDump(t *testing.T) {
 	}
 }
 
-// legacyServer mimics a pre-trace palservd build: it decodes only the old
-// request fields (encoding/json drops unknown keys, which is exactly what
-// an old binary does), answers run with a canned success, and reports an
-// unknown op for everything it postdates.
+// legacyServer mimics a pre-trace palservd build: it ignores the trace
+// fields (an old binary's decoder drops them as unknown keys), answers run
+// with a canned success, and reports an unknown op for everything it
+// postdates.
 func legacyServer(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -159,37 +158,12 @@ func legacyServer(t *testing.T) string {
 	}
 	t.Cleanup(func() { l.Close() })
 	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
+		_ = ServeWire(l, 0, func(req *WireRequest) *WireResponse {
+			if req.Op == OpRun {
+				return &WireResponse{OK: true, Output: []byte(req.Name)}
 			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					body, err := ReadFrame(c)
-					if err != nil {
-						return
-					}
-					var req struct {
-						Op   string `json:"op"`
-						Name string `json:"name"`
-					}
-					var resp map[string]any
-					if err := json.Unmarshal(body, &req); err != nil {
-						resp = map[string]any{"err": err.Error()}
-					} else if req.Op == "run" {
-						resp = map[string]any{"ok": true, "output": []byte(req.Name)}
-					} else {
-						resp = map[string]any{"err": `palsvc: unknown op "` + req.Op + `"`}
-					}
-					out, _ := json.Marshal(resp)
-					if err := WriteFrame(c, out); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
+			return &WireResponse{Err: `palsvc: unknown op "` + req.Op + `"`}
+		})
 	}()
 	return l.Addr().String()
 }
@@ -245,7 +219,7 @@ func TestTracingDisabledAllocFree(t *testing.T) {
 	var slo *obs.SLOTracker
 	req := &WireRequest{Op: OpRun, Name: "hot", Source: "src"}
 	allocs := testing.AllocsPerRun(200, func() {
-		ctx := wireTraceContext(req)
+		ctx := req.TraceContext()
 		sp := tracer.StartSpan(ctx, "job", "pipeline")
 		sp.Attr("name", req.Name)
 		sp.AttrInt("attempt", 1)

@@ -218,33 +218,44 @@ type WireResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Serve accepts connections on l until the listener closes, handling each
-// connection in its own goroutine. connTimeout bounds each request
-// read/response write (0 means no per-request deadline). Serve returns the
-// accept error that ended the loop.
-func (s *Service) Serve(l net.Listener, connTimeout time.Duration) error {
+// maxConns caps the connections one ServeWire loop serves at once. Each
+// connection may hold a MaxFrame request in memory, so the cap bounds what
+// a flood of hostile clients can pin; connections over it wait in the
+// kernel's accept backlog until a served one closes. Tests lower it.
+var maxConns = 1024
+
+// ServeWire is the accept and frame loop behind every wire server (palservd
+// and palrouter): it accepts connections on l until the listener closes,
+// serving each in its own goroutine, and answers every decoded request with
+// dispatch. A frame that is not a JSON request gets a "bad request" answer
+// and the connection stays usable; a framing, deadline or write error ends
+// the connection. connTimeout bounds each request read/response write (0
+// means no per-request deadline). At most maxConns connections are served
+// at once. ServeWire returns the accept error that ended the loop.
+func ServeWire(l net.Listener, connTimeout time.Duration, dispatch func(*WireRequest) *WireResponse) error {
+	slots := make(chan struct{}, maxConns)
 	for {
+		slots <- struct{}{}
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
 		go func(c net.Conn) {
-			// A panicking handler must not leak the connection or kill
-			// the whole server.
 			defer func() {
-				if r := recover(); r != nil {
-					_ = c.Close()
-				}
+				// A panicking handler must not leak the connection or its
+				// slot, or kill the whole server.
+				_ = recover()
+				_ = c.Close()
+				<-slots
 			}()
-			defer c.Close()
-			s.serveConn(c, connTimeout)
+			serveConn(c, connTimeout, dispatch)
 		}(conn)
 	}
 }
 
 // serveConn runs the request loop for one connection until the peer closes
 // or a framing/deadline error occurs.
-func (s *Service) serveConn(c net.Conn, connTimeout time.Duration) {
+func serveConn(c net.Conn, connTimeout time.Duration, dispatch func(*WireRequest) *WireResponse) {
 	for {
 		if connTimeout > 0 {
 			_ = c.SetDeadline(time.Now().Add(connTimeout))
@@ -258,7 +269,7 @@ func (s *Service) serveConn(c net.Conn, connTimeout time.Duration) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			resp.Err = "bad request: " + err.Error()
 		} else {
-			resp = s.dispatch(&req)
+			resp = dispatch(&req)
 		}
 		out, err := json.Marshal(resp)
 		if err != nil {
@@ -268,6 +279,12 @@ func (s *Service) serveConn(c net.Conn, connTimeout time.Duration) {
 			return
 		}
 	}
+}
+
+// Serve answers wire requests on l with ServeWire until the listener
+// closes.
+func (s *Service) Serve(l net.Listener, connTimeout time.Duration) error {
+	return ServeWire(l, connTimeout, s.dispatch)
 }
 
 // dispatch executes one wire request against the service.
@@ -287,7 +304,7 @@ func (s *Service) dispatch(req *WireRequest) *WireResponse {
 		return s.auditDump(req)
 	case OpRun:
 		j := Job{Name: req.Name, Source: req.Source, Input: req.Input, NoAttest: req.NoAttest,
-			Tenant: req.Tenant, Trace: wireTraceContext(req)}
+			Tenant: req.Tenant, Trace: req.TraceContext()}
 		if req.DeadlineMS != 0 {
 			// A negative deadline resolves to a time in the past and fails
 			// with deadline_exceeded, matching the local-API contract.
@@ -328,10 +345,10 @@ func (s *Service) dispatch(req *WireRequest) *WireResponse {
 	}
 }
 
-// wireTraceContext parses a request's propagated trace context. Absent or
+// TraceContext parses the request's propagated trace context. Absent or
 // malformed fields yield the zero Context (the server mints its own root);
 // the empty-string fast path keeps the hot run dispatch allocation-free.
-func wireTraceContext(req *WireRequest) obs.Context {
+func (req *WireRequest) TraceContext() obs.Context {
 	if req.TraceID == "" {
 		return obs.Context{}
 	}
@@ -340,6 +357,23 @@ func wireTraceContext(req *WireRequest) obs.Context {
 		return obs.Context{}
 	}
 	return obs.Context{Trace: id, Span: req.ParentSpan}
+}
+
+// AuditQuery turns an audit request's filters into a log query whose Limit
+// is capped at bound; a request Limit of 0 or less means bound.
+func (req *WireRequest) AuditQuery(bound int) (audit.Query, error) {
+	q := audit.Query{Tenant: req.Tenant, Image: req.Image, Since: req.Since, Limit: req.Limit}
+	if q.Limit <= 0 || q.Limit > bound {
+		q.Limit = bound
+	}
+	if req.TraceID != "" {
+		id, err := obs.ParseTraceID(req.TraceID)
+		if err != nil {
+			return audit.Query{}, err
+		}
+		q.Trace = id
+	}
+	return q, nil
 }
 
 // traceDump answers the trace op from the service's own ring.
@@ -355,38 +389,36 @@ func (s *Service) traceDump(req *WireRequest) *WireResponse {
 	return &WireResponse{OK: true, Trace: BoundTraceDump(recs, dropped)}
 }
 
-// auditDump answers the audit op from the service's log: the filtered,
-// bounded event tail plus the newest signed tree head. A service built
+// auditDump answers the audit op from the service's log. A service built
 // without an audit log answers with an error, which callers treat like an
 // unknown op (skip the node).
 func (s *Service) auditDump(req *WireRequest) *WireResponse {
 	if s.cfg.Audit == nil {
 		return &WireResponse{Err: "palsvc: audit log disabled"}
 	}
-	q := audit.Query{Tenant: req.Tenant, Image: req.Image, Since: req.Since, Limit: req.Limit}
-	if q.Limit <= 0 || q.Limit > maxAuditDump {
-		q.Limit = maxAuditDump
+	q, err := req.AuditQuery(maxAuditDump)
+	if err != nil {
+		return &WireResponse{Err: err.Error()}
 	}
-	if req.TraceID != "" {
-		id, err := obs.ParseTraceID(req.TraceID)
-		if err != nil {
-			return &WireResponse{Err: err.Error()}
-		}
-		q.Trace = id
-	}
-	// Seal the tail before dumping: the reported head must cover every
-	// event in the dump, even when the log is mid-segment. Sync is a
-	// no-op when the newest head is already current.
-	s.cfg.Audit.Sync()
-	events, truncated := s.cfg.Audit.Select(q)
-	return &WireResponse{OK: true, Audit: &AuditDump{
-		Node:      s.cfg.Audit.Node(),
-		Size:      s.cfg.Audit.Size(),
-		Dropped:   s.cfg.Audit.Dropped(),
-		Head:      s.cfg.Audit.Head(),
+	return &WireResponse{OK: true, Audit: AuditTail(s.cfg.Audit, q)}
+}
+
+// AuditTail packages an audit-op payload from l: the events matching q
+// plus the newest tree head. It seals the tail first, so the head covers
+// every event in the dump even when the log is mid-segment (Sync is a no-op
+// when the newest head is already current). The router reuses it for its
+// own control-plane log.
+func AuditTail(l *audit.Log, q audit.Query) *AuditDump {
+	l.Sync()
+	events, truncated := l.Select(q)
+	return &AuditDump{
+		Node:      l.Node(),
+		Size:      l.Size(),
+		Dropped:   l.Dropped(),
+		Head:      l.Head(),
 		Truncated: truncated,
 		Events:    events,
-	}}
+	}
 }
 
 // BoundTraceDump packages records as a trace-op payload, keeping the

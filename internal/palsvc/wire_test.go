@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -107,43 +108,62 @@ func TestWireRunStatsPing(t *testing.T) {
 	}
 }
 
-func TestWireUnknownOp(t *testing.T) {
-	_, addr := startServer(t, Config{})
-	cl, err := Dial(addr, 0)
+// TestServeWireConnectionCap: connections over the cap wait in the accept
+// backlog. With the cap at two, a third client is answered only after one
+// of the first two closes.
+func TestServeWireConnectionCap(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	resp, err := cl.roundTrip(&WireRequest{Op: "explode"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Err == "" {
-		t.Fatalf("unknown op answered %+v", resp)
-	}
-}
+	saved := maxConns
+	maxConns = 2
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = ServeWire(l, 0, func(*WireRequest) *WireResponse { return &WireResponse{OK: true} })
+	}()
+	var conns []io.Closer
+	t.Cleanup(func() {
+		l.Close()
+		for _, c := range conns {
+			c.Close()
+		}
+		<-done // ServeWire is done reading maxConns
+		maxConns = saved
+	})
+	addr := l.Addr().String()
 
-func TestWireMalformedJSONKeepsConnectionUsable(t *testing.T) {
-	_, addr := startServer(t, Config{})
-	conn, err := net.Dial("tcp", addr)
+	// Dial's ping handshake proves each of the first two is being served.
+	for i := 0; i < 2; i++ {
+		cl, err := Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, cl)
+	}
+	third, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := WriteFrame(conn, []byte("{not json")); err != nil {
+	conns = append(conns, third)
+	if err := WriteFrame(third, []byte(`{"op":"ping"}`)); err != nil {
 		t.Fatal(err)
 	}
-	body, err := ReadFrame(conn)
+	_ = third.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	var ne net.Error
+	if _, err := ReadFrame(third); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("third connection over a cap of two: read %v, want a timeout", err)
+	}
+
+	conns[0].Close()
+	_ = third.SetReadDeadline(time.Now().Add(5 * time.Second))
+	body, err := ReadFrame(third)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("third connection not served after one closed: %v", err)
 	}
-	if !bytes.Contains(body, []byte("bad request")) {
-		t.Fatalf("response %s", body)
-	}
-	// The connection survives a malformed request.
-	cl := &Client{conn: conn}
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
+	if !bytes.Contains(body, []byte(`"ok":true`)) {
+		t.Fatalf("ping answered %s", body)
 	}
 }
 
