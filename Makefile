@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench benchcmp soak soak-short cluster-soak audit-verify
+.PHONY: check build vet test race bench benchcmp soak soak-short cluster-soak audit-verify fuzz-short
 
-check: build vet test race benchcmp audit-verify soak-short
+check: build vet test race benchcmp audit-verify soak-short fuzz-short
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,28 @@ audit-verify:
 	$(GO) test -count 1 ./internal/audit
 	$(GO) test -count 1 -run 'TestDemoAuditCrossCheck' ./cmd/attestd
 	$(GO) test -count 1 -run 'TestOfflineQueryAndVerify|TestVerifyDetectsTamper' ./cmd/tcbaudit
+
+# fuzz-short runs every fuzz target for FUZZTIME each (go test -fuzz takes
+# one target per invocation): the assembler, decoder and round-trip
+# targets, the interpreter-vs-threaded-code execution differential, the
+# sealed-blob parser and the PAL header and build paths. A failing input is
+# written to the package's testdata/fuzz and replays in plain `go test`.
+#   make fuzz-short FUZZTIME=30s
+FUZZTIME ?= 3s
+FUZZ_TARGETS = \
+	./internal/isa:FuzzAssemble \
+	./internal/isa:FuzzDecodeProgram \
+	./internal/isa:FuzzAssembleDisassembleAssemble \
+	./internal/isa:FuzzExecDifferential \
+	./internal/tpm:FuzzUnseal \
+	./internal/pal:FuzzParseHeader \
+	./internal/pal:FuzzBuild
+fuzz-short:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$fn in $$pkg for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # bench commits a machine-readable artifact so later sessions can diff
 # against this PR's numbers. Time-based -benchtime lets go test pick the

@@ -20,10 +20,12 @@ import (
 	"minimaltcb/internal/experiments"
 	"minimaltcb/internal/lpc"
 	"minimaltcb/internal/mem"
+	"minimaltcb/internal/osker"
 	"minimaltcb/internal/pal"
 	"minimaltcb/internal/palsvc"
 	"minimaltcb/internal/platform"
 	"minimaltcb/internal/sim"
+	"minimaltcb/internal/sksm"
 	"minimaltcb/internal/tpm"
 )
 
@@ -265,6 +267,75 @@ func BenchmarkExec_Interpreter(b *testing.B) { benchExec(b, false) }
 // BenchmarkExec_ThreadedCode runs the same loop from compiled
 // superinstruction closures.
 func BenchmarkExec_ThreadedCode(b *testing.B) { benchExec(b, true) }
+
+// preemptedPAL is the busy loop of perfbench's preempt-compute workload:
+// ~393k instructions of `addi; cmp; jnz`, then an echo of its input.
+const preemptedPAL = `
+	ldi r0, 0
+	ldi r1, 0
+	lui r1, 2
+loop:	addi r0, 1
+	cmp r0, r1
+	jnz loop
+	ldi r0, buf
+	ldi r1, 32
+	svc 7
+	mov r1, r0
+	ldi r0, buf
+	svc 6
+	ldi r0, 0
+	svc 0
+buf:	.ascii "--------------------------------"
+`
+
+// BenchmarkExec_Preempted runs the busy-loop PAL to completion through
+// SKSM under a 1µs preemption quantum, one job per iteration: about a
+// thousand instructions per slice, with SLAUNCH resume and suspend between
+// slices. It is the in-process counterpart of perfbench's preempt-compute
+// workload, and reports host ns per retired PAL instruction.
+func BenchmarkExec_Preempted(b *testing.B) {
+	prof := platform.Recommended(platform.HPdc5750(), 8)
+	prof.KeyBits = 1024
+	prof.Seed = 42
+	m, err := platform.New(prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mg, err := sksm.NewManager(osker.NewKernel(m))
+	if err != nil {
+		b.Fatal(err)
+	}
+	core := m.CPUs[1]
+	image := pal.MustBuild(preemptedPAL)
+	input := []byte("preempt")
+	job := func() {
+		s, err := mg.NewSECB(image, 0, time.Microsecond)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Input = input
+		if err := mg.RunToCompletion(core, s); err != nil {
+			b.Fatal(err)
+		}
+		if string(s.Output) != string(input) || s.Slices < 2 {
+			b.Fatalf("job output %q after %d slices, want %q over several slices", s.Output, s.Slices, input)
+		}
+		if err := m.TPM().FreeSePCR(s.SePCRHandle); err != nil {
+			b.Fatal(err)
+		}
+		if err := mg.Release(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	job() // compiles the loop and warms the launch-measurement cache
+	start := core.Retired
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(core.Retired-start), "ns/instr")
+}
 
 // benchService builds the multi-tenant PAL service used by the
 // BenchmarkService_* benchmarks: recommended HP dc5750, sePCR bank of 8.

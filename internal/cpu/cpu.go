@@ -156,15 +156,16 @@ type CPU struct {
 
 	// Threaded-code tier (tcode.go): compiled basic blocks, leader heat
 	// counters, and the profiler's compiled-tier hook. Lazily allocated
-	// and, like dcache, private to the goroutine driving the core; the
-	// statistics counters alone are updated atomically so metrics scrapes
-	// can read them without the machine lock.
+	// and, like dcache, private to the goroutine driving the core. The
+	// statistics accumulate in tpend and are published to tstats with
+	// atomic adds when Run returns, so metrics scrapes can read tstats
+	// without the machine lock.
 	bcache   []*blockEntry
 	bheat    []heatEntry
 	tcodeOff bool
 	bprof    BlockProfiler
+	tpend    tcodeCounters
 	tstats   tcodeCounters
-
 }
 
 // Tracer observes each instruction before it executes, for debugging
@@ -317,16 +318,6 @@ func (c *CPU) ReadBytes(addr uint32, n int) ([]byte, error) {
 		return nil, err
 	}
 	return c.chip.CPURead(c.ID, phys, n)
-}
-
-// ReadBytesInto reads len(dst) bytes at a PAL-relative address with full
-// checks into a caller-supplied buffer, allocating nothing.
-func (c *CPU) ReadBytesInto(addr uint32, dst []byte) error {
-	phys, err := c.translate(addr, len(dst))
-	if err != nil {
-		return err
-	}
-	return c.chip.CPUReadInto(c.ID, phys, dst)
 }
 
 // WriteBytes writes bytes at a PAL-relative address with full checks.

@@ -45,9 +45,6 @@ func (c *CPU) SetDecodeCache(on bool) {
 	}
 }
 
-// DecodeCacheEnabled reports whether the decode cache is active.
-func (c *CPU) DecodeCacheEnabled() bool { return !c.decodeOff }
-
 // DecodeCacheStats counts the decode cache's outcomes. Words straddling a
 // page boundary bypass the cache entirely (one page version cannot vouch
 // for two pages) — before BoundarySkips existed that bypass was invisible,

@@ -20,7 +20,16 @@ import (
 // spends inside the TPM does not advance the preemption timer, mirroring
 // hardware where the timer gates CPU execution and TPM commands complete
 // atomically from the scheduler's viewpoint.
+//
+// Run publishes the threaded-code tier's counters (TCodeStatsSnapshot)
+// once, when it returns.
 func (c *CPU) Run(quantum time.Duration) (StopReason, error) {
+	reason, err := c.run(quantum)
+	c.publishTCodeStats()
+	return reason, err
+}
+
+func (c *CPU) run(quantum time.Duration) (StopReason, error) {
 	var elapsed time.Duration
 	// atLeader tracks whether PC sits at a basic-block boundary (Run
 	// entry or the target of a control transfer) — the only places the
@@ -28,13 +37,17 @@ func (c *CPU) Run(quantum time.Duration) (StopReason, error) {
 	// keyed by their leader, so looking up mid-block PCs would only waste
 	// a probe per sequential instruction.
 	atLeader := true
+	// chain is the compiled block that just ran to its end, if any:
+	// blockFor tries its successor before probing the block cache. An
+	// interpreted instruction breaks the chain.
+	var chain *blockEntry
 	for {
 		if quantum > 0 && elapsed >= quantum {
 			return StopPreempted, nil
 		}
 		if atLeader && !c.tcodeOff && c.tracer == nil {
-			if e := c.blockFor(quantum, elapsed); e != nil {
-				executed, err := c.runBlock(e)
+			if e := c.blockFor(chain, quantum, elapsed); e != nil {
+				executed, done, err := c.runBlock(e)
 				// Block-granular charging: one Advance for every
 				// instruction that retired. Nothing observed the clock
 				// between them — SVC and HALT terminate blocks at
@@ -47,9 +60,14 @@ func (c *CPU) Run(quantum time.Duration) (StopReason, error) {
 				if err != nil {
 					return StopFault, err
 				}
+				chain = nil
+				if done {
+					chain = e
+				}
 				continue
 			}
 		}
+		chain = nil
 		in, err := c.fetch()
 		if err != nil {
 			return StopFault, err

@@ -43,6 +43,20 @@ import (
 //   - Tracers disable the tier entirely (Run checks per iteration), so
 //     palasm -trace always observes the interpreter.
 //
+// Blocks chain: when a compiled block runs to its end with no fault and no
+// bailout, the next lookup goes through the block's successor slot for the
+// PC it left at (one slot for the branch target, one for the fall-through)
+// instead of translating the PC and probing the heat counters and the
+// cache. The chained block still passes every check a cache hit does —
+// tier switch, tracer, poison, page versions or revalidation, and the
+// quantum budget — so a chain ends on exactly the instruction the
+// interpreter would stop at. Any interpreted instruction breaks the chain.
+//
+// The statistics counters accumulate in plain per-CPU fields on the hot
+// path and are published with one atomic add per counter when Run
+// returns, so TCodeStatsSnapshot may be called from any goroutine but can
+// lag a Run that is still in progress by that slice.
+//
 // Invalidation rides the same page-version protocol as the decoded-
 // instruction cache: a compiled block records the version of every page
 // its words span (at most two) and is revalidated on lookup. A version
@@ -83,9 +97,9 @@ const (
 // any.
 type tstep struct {
 	run  func(c *CPU, e *blockEntry, s *tstep) (int, error)
-	n    uint8      // instructions this step retires on success
-	wr   bool       // step may write PAL memory (store/storeb/push/call)
-	ra   uint8      // register operands
+	n    uint8 // instructions this step retires on success
+	wr   bool  // step may write PAL memory (store/storeb/push/call)
+	ra   uint8 // register operands
 	rb   uint8
 	op   isa.Opcode // retired opcode
 	op2  isa.Opcode // branch opcode of a fused cmp+branch
@@ -94,7 +108,6 @@ type tstep struct {
 	next uint32     // fall-through PC after the whole step
 	imm  uint32     // zero-extended immediate; branch/jump target
 	simm uint32     // sign-extended immediate
-	cond func(*CPU) bool // shared flag predicate for branches
 }
 
 func (s *tstep) exec(c *CPU, e *blockEntry) (int, error) { return s.run(c, e, s) }
@@ -120,6 +133,18 @@ type blockEntry struct {
 	npages  int
 	bails   uint8
 	poison  bool // true: run this leader in the interpreter forever
+	// succ caches the blocks that ran next: [0] after a taken branch or
+	// jump, [1] after falling through. Block chaining (blockFor) checks
+	// each is still compiled for the PC before using it.
+	succ [2]*blockEntry
+}
+
+// succFor returns the successor slot for execution leaving e at pc.
+func (e *blockEntry) succFor(pc uint32) **blockEntry {
+	if pc == e.startPC+uint32(e.n*isa.WordSize) {
+		return &e.succ[1]
+	}
+	return &e.succ[0]
 }
 
 // heatEntry is one leader's execution counter.
@@ -128,8 +153,10 @@ type heatEntry struct {
 	heat uint32
 }
 
-// tcodeCounters are the tier's statistics, updated with atomic adds so
-// metrics scrapes can read them without the machine lock.
+// tcodeCounters are the tier's statistics. CPU.tpend accumulates them with
+// plain adds during a Run; publishTCodeStats moves them into CPU.tstats
+// with atomic adds, so metrics scrapes can read them without the machine
+// lock.
 type tcodeCounters struct {
 	compiled      int64
 	execs         int64
@@ -165,11 +192,8 @@ func (c *CPU) SetBlockCompile(on bool) {
 	}
 }
 
-// BlockCompileEnabled reports whether the threaded-code tier is active.
-func (c *CPU) BlockCompileEnabled() bool { return !c.tcodeOff }
-
-// TCodeStatsSnapshot returns the tier's counters. Safe to call from any
-// goroutine.
+// TCodeStatsSnapshot returns the tier's counters as of the last return
+// from Run. Safe to call from any goroutine.
 func (c *CPU) TCodeStatsSnapshot() TCodeStats {
 	return TCodeStats{
 		Compiled:      atomic.LoadInt64(&c.tstats.compiled),
@@ -180,12 +204,37 @@ func (c *CPU) TCodeStatsSnapshot() TCodeStats {
 	}
 }
 
+// publishTCodeStats adds the counts accumulated since the last publish to
+// the shared counters, one atomic add per counter that moved.
+func (c *CPU) publishTCodeStats() {
+	p := &c.tpend
+	publishCount(&c.tstats.compiled, &p.compiled)
+	publishCount(&c.tstats.execs, &p.execs)
+	publishCount(&c.tstats.instrs, &p.instrs)
+	publishCount(&c.tstats.bailouts, &p.bailouts)
+	publishCount(&c.tstats.invalidations, &p.invalidations)
+}
+
+func publishCount(dst, pending *int64) {
+	if *pending != 0 {
+		atomic.AddInt64(dst, *pending)
+		*pending = 0
+	}
+}
+
 // retireStep is the compiled tier's per-instruction profiler hook,
 // mirroring the interpreter's `c.prof.RetireInstr(c.PC, in.Op, cost)`.
+// It inlines to a nil test; SetProfiler sets bprof only alongside prof.
 func (c *CPU) retireStep(pc uint32, op isa.Opcode) {
+	if c.prof != nil {
+		c.retireProfiled(pc, op)
+	}
+}
+
+func (c *CPU) retireProfiled(pc uint32, op isa.Opcode) {
 	if c.bprof != nil {
 		c.bprof.RetireCompiled(pc, op, c.Params.InstrCost)
-	} else if c.prof != nil {
+	} else {
 		c.prof.RetireInstr(pc, op, c.Params.InstrCost)
 	}
 }
@@ -194,7 +243,48 @@ func (c *CPU) retireStep(pc uint32, op isa.Opcode) {
 // nil when execution should stay in the interpreter (cold leader, poisoned
 // block, quantum budget too small, or untranslatable PC — the interpreter
 // raises that fault with its own message).
-func (c *CPU) blockFor(quantum, elapsed time.Duration) *blockEntry {
+//
+// prev is the block that just ran to completion, or nil. When prev's
+// successor slot for the PC still holds the block compiled for this
+// leader and region, it stands in for lookupBlock's probes; every check
+// after the probe runs either way.
+func (c *CPU) blockFor(prev *blockEntry, quantum, elapsed time.Duration) *blockEntry {
+	var (
+		succ **blockEntry
+		e    *blockEntry
+	)
+	if prev != nil {
+		succ = prev.succFor(c.PC)
+		if e = *succ; e != nil && (e.startPC != c.PC || e.base != c.region.Base || e.size != c.region.Size) {
+			e = nil
+		}
+	}
+	if e == nil {
+		if e = c.lookupBlock(); e == nil {
+			return nil
+		}
+		if succ != nil {
+			*succ = e
+		}
+	}
+	if e.poison {
+		return nil
+	}
+	if !c.blockPagesCurrent(e) && !c.revalidateBlock(e) {
+		// The block's bytes or permissions changed: recompile in place.
+		c.tpend.invalidations++
+		if e = c.compileBlock(c.PC, e.key-1); e.poison {
+			return nil
+		}
+	}
+	return c.blockFits(e, quantum, elapsed)
+}
+
+// lookupBlock probes the block cache for the current PC. It returns the
+// cached block for this leader and region — possibly poisoned or stale,
+// which blockFor checks — or the block compiled now because the leader
+// just turned hot, or nil for a cold leader or an untranslatable PC.
+func (c *CPU) lookupBlock() *blockEntry {
 	phys, err := c.translate(c.PC, isa.WordSize)
 	if err != nil {
 		return nil
@@ -205,31 +295,19 @@ func (c *CPU) blockFor(quantum, elapsed time.Duration) *blockEntry {
 		c.bcache = make([]*blockEntry, blockCacheSize)
 		c.bheat = make([]heatEntry, blockHeatSize)
 	}
-	e := c.bcache[(phys>>2)&(blockCacheSize-1)]
-	if e != nil && e.key == phys+1 && e.base == c.region.Base && e.size == c.region.Size {
-		if e.poison {
-			return nil
-		}
-		if c.blockPagesCurrent(e) || c.revalidateBlock(e) {
-			return c.blockFits(e, quantum, elapsed)
-		}
-		// The block's bytes or permissions changed: recompile in place.
-		atomic.AddInt64(&c.tstats.invalidations, 1)
-	} else {
-		h := &c.bheat[(phys>>2)&(blockHeatSize-1)]
-		if h.key != phys+1 {
-			h.key = phys + 1
-			h.heat = 1
-			return nil
-		}
-		if h.heat++; h.heat < blockHeatMin {
-			return nil
-		}
+	if e := c.bcache[(phys>>2)&(blockCacheSize-1)]; e != nil && e.key == phys+1 && e.base == c.region.Base && e.size == c.region.Size {
+		return e
 	}
-	if ne := c.compileBlock(c.PC, phys); ne != nil && !ne.poison {
-		return c.blockFits(ne, quantum, elapsed)
+	h := &c.bheat[(phys>>2)&(blockHeatSize-1)]
+	if h.key != phys+1 {
+		h.key = phys + 1
+		h.heat = 1
+		return nil
 	}
-	return nil
+	if h.heat++; h.heat < blockHeatMin {
+		return nil
+	}
+	return c.compileBlock(c.PC, phys)
 }
 
 // blockFits checks the preemption budget: the block may only run whole if
@@ -238,7 +316,7 @@ func (c *CPU) blockFor(quantum, elapsed time.Duration) *blockEntry {
 // the quantum and stops at exactly the instruction the timer hits.
 func (c *CPU) blockFits(e *blockEntry, quantum, elapsed time.Duration) *blockEntry {
 	if quantum > 0 && elapsed+time.Duration(e.n-1)*c.Params.InstrCost >= quantum {
-		atomic.AddInt64(&c.tstats.bailouts, 1)
+		c.tpend.bailouts++
 		return nil
 	}
 	return e
@@ -278,32 +356,33 @@ func (c *CPU) revalidateBlock(e *blockEntry) bool {
 
 // runBlock executes a compiled block. It returns the number of
 // instructions retired — the caller advances the virtual clock once for
-// all of them — and the fault, if any. A mid-block store that touches the
-// block's own pages stops execution after the store (its effects are
+// all of them — whether the block ran to its end (so the next block may
+// chain from it), and the fault, if any. A mid-block store that touches
+// the block's own pages stops execution after the store (its effects are
 // architecturally complete) and lets the interpreter refetch from the next
 // instruction.
-func (c *CPU) runBlock(e *blockEntry) (int, error) {
-	atomic.AddInt64(&c.tstats.execs, 1)
-	executed := 0
-	var rerr error
+func (c *CPU) runBlock(e *blockEntry) (executed int, done bool, err error) {
+	c.tpend.execs++
+	done = true
 	for i := 0; i < e.nsteps; i++ {
 		s := &e.recs[e.stepIdx[i]]
-		k, err := s.run(c, e, s)
+		k, serr := s.run(c, e, s)
 		executed += k
-		if err != nil {
-			rerr = err
+		if serr != nil {
+			err, done = serr, false
 			break
 		}
 		if s.wr && !c.blockPagesCurrent(e) {
-			atomic.AddInt64(&c.tstats.bailouts, 1)
+			c.tpend.bailouts++
 			if e.bails++; e.bails >= maxBlockBails {
 				e.poison = true
 			}
+			done = false
 			break
 		}
 	}
-	atomic.AddInt64(&c.tstats.instrs, int64(executed))
-	return executed, rerr
+	c.tpend.instrs += int64(executed)
+	return executed, done, err
 }
 
 // isBlockEnd reports whether op terminates a basic block (control
@@ -317,30 +396,31 @@ func isBlockEnd(op isa.Opcode) bool {
 	return false
 }
 
-// branchCond returns the flag predicate of a conditional branch, or nil
-// for other opcodes. The returned funcs capture nothing, so they are
-// shared across all compilations.
-func branchCond(op isa.Opcode) func(*CPU) bool {
+// isCondBranch reports whether op is a conditional branch.
+func isCondBranch(op isa.Opcode) bool {
 	switch op {
-	case isa.OpJz:
-		return condZ
-	case isa.OpJnz:
-		return condNZ
-	case isa.OpJc:
-		return condC
-	case isa.OpJnc:
-		return condNC
-	case isa.OpJn:
-		return condN
+	case isa.OpJz, isa.OpJnz, isa.OpJc, isa.OpJnc, isa.OpJn:
+		return true
 	}
-	return nil
+	return false
 }
 
-func condZ(c *CPU) bool  { return c.FlagZ }
-func condNZ(c *CPU) bool { return !c.FlagZ }
-func condC(c *CPU) bool  { return c.FlagC }
-func condNC(c *CPU) bool { return !c.FlagC }
-func condN(c *CPU) bool  { return c.FlagN }
+// branchTaken evaluates the conditional branch op against the flags.
+func (c *CPU) branchTaken(op isa.Opcode) bool {
+	switch op {
+	case isa.OpJz:
+		return c.FlagZ
+	case isa.OpJnz:
+		return !c.FlagZ
+	case isa.OpJc:
+		return c.FlagC
+	case isa.OpJnc:
+		return !c.FlagC
+	case isa.OpJn:
+		return c.FlagN
+	}
+	return false
+}
 
 // compileBlock scans the basic block whose leader is at PAL-relative pc
 // (physical phys), compiles it into the direct-mapped slot for phys, and
@@ -421,7 +501,7 @@ func (c *CPU) compileBlock(pc, phys uint32) *blockEntry {
 		in, ipc := ins[i], pcs[i]
 		if i+1 < n {
 			nx := ins[i+1]
-			if in.Op == isa.OpCmp && branchCond(nx.Op) != nil {
+			if in.Op == isa.OpCmp && isCondBranch(nx.Op) {
 				recs = append(recs, fuseCmpBranch(in, nx, ipc))
 				e.stepIdx[ns] = int16(len(recs) - 1)
 				ns++
@@ -430,7 +510,7 @@ func (c *CPU) compileBlock(pc, phys uint32) *blockEntry {
 			}
 			if fusablePair(in, nx) &&
 				// Leave a cmp for the cmp+branch fusion behind it.
-				!(nx.Op == isa.OpCmp && i+2 < n && branchCond(ins[i+2].Op) != nil) {
+				!(nx.Op == isa.OpCmp && i+2 < n && isCondBranch(ins[i+2].Op)) {
 				recs = append(recs, fusePair(recs, i, i+1))
 				e.stepIdx[ns] = int16(len(recs) - 1)
 				ns++
@@ -443,7 +523,7 @@ func (c *CPU) compileBlock(pc, phys uint32) *blockEntry {
 	}
 	e.recs = recs
 	e.nsteps = ns
-	atomic.AddInt64(&c.tstats.compiled, 1)
+	c.tpend.compiled++
 	return e
 }
 
@@ -499,7 +579,7 @@ func stepPair(c *CPU, e *blockEntry, s *tstep) (int, error) {
 func fuseCmpBranch(cmp, br isa.Instruction, pc uint32) tstep {
 	return tstep{run: stepCmpBranch, n: 2, op: isa.OpCmp, op2: br.Op,
 		ra: cmp.RA, rb: cmp.RB, pc: pc, next: pc + 2*isa.WordSize,
-		imm: uint32(br.Imm), cond: branchCond(br.Op)}
+		imm: uint32(br.Imm)}
 }
 
 func stepCmpBranch(c *CPU, _ *blockEntry, s *tstep) (int, error) {
@@ -509,7 +589,7 @@ func stepCmpBranch(c *CPU, _ *blockEntry, s *tstep) (int, error) {
 	c.FlagC = a < b
 	c.FlagN = int32(a) < int32(b)
 	c.retireStep(s.pc+isa.WordSize, s.op2)
-	if s.cond(c) {
+	if c.branchTaken(s.op2) {
 		c.PC = s.imm
 	} else {
 		c.PC = s.next
@@ -571,7 +651,7 @@ func stepFor(in isa.Instruction, pc uint32) tstep {
 	case isa.OpJmp:
 		s.run = stepJmp
 	case isa.OpJz, isa.OpJnz, isa.OpJc, isa.OpJnc, isa.OpJn:
-		s.run, s.cond = stepBranch, branchCond(in.Op)
+		s.run = stepBranch
 	case isa.OpJmpr:
 		s.run = stepJmpr
 	case isa.OpCall:
@@ -759,7 +839,7 @@ func stepJmp(c *CPU, _ *blockEntry, s *tstep) (int, error) {
 
 func stepBranch(c *CPU, _ *blockEntry, s *tstep) (int, error) {
 	c.retireStep(s.pc, s.op)
-	if s.cond(c) {
+	if c.branchTaken(s.op) {
 		c.PC = s.imm
 	} else {
 		c.PC = s.next

@@ -256,6 +256,66 @@ func TestBlockCompileMidBlockStoreBailout(t *testing.T) {
 	}
 }
 
+// driveSlices runs image for passes passes on one machine with p (which
+// may be nil) installed, each pass in quantum slices until it halts, and
+// returns the PC of every preemption.
+func driveSlices(t *testing.T, image pal.Image, compile bool, quantum time.Duration, passes int, p Profiler) (*CPU, *chipset.Chipset, []uint32) {
+	t.Helper()
+	c, cs, region := newTCodeMachine(t, image, compile)
+	c.SetProfiler(p)
+	var stops []uint32
+	for pass := 0; pass < passes; pass++ {
+		c.EnterRegion(region, image.Entry)
+		for {
+			reason, err := c.Run(quantum)
+			if err != nil {
+				t.Fatalf("compile=%v quantum=%v pass %d: %v", compile, quantum, pass, err)
+			}
+			if reason == StopHalt {
+				break
+			}
+			if reason != StopPreempted {
+				t.Fatalf("compile=%v quantum=%v pass %d: unexpected %v", compile, quantum, pass, reason)
+			}
+			stops = append(stops, c.PC)
+		}
+	}
+	return c, cs, stops
+}
+
+// sameSlices drives image sliced under both tiers and requires identical
+// final state and identical preemption points. It returns the compiled
+// machine.
+func sameSlices(t *testing.T, image pal.Image, quantum time.Duration, passes int) *CPU {
+	t.Helper()
+	on, csOn, stopsOn := driveSlices(t, image, true, quantum, passes, nil)
+	off, csOff, stopsOff := driveSlices(t, image, false, quantum, passes, nil)
+	sameRun(t, on, off, csOn, csOff)
+	if len(stopsOn) != len(stopsOff) {
+		t.Fatalf("quantum=%v: preemption counts diverge: %d vs %d", quantum, len(stopsOn), len(stopsOff))
+	}
+	for i := range stopsOn {
+		if stopsOn[i] != stopsOff[i] {
+			t.Fatalf("quantum=%v: preemption %d lands at pc=%d compiled, pc=%d interpreted",
+				quantum, i, stopsOn[i], stopsOff[i])
+		}
+	}
+	return on
+}
+
+// compiledAt returns the compiled block whose leader is PAL-relative pc in
+// region, or nil.
+func compiledAt(c *CPU, region mem.Region, pc uint32) *blockEntry {
+	phys := region.Base + pc
+	if c.bcache == nil {
+		return nil
+	}
+	if e := c.bcache[(phys>>2)&(blockCacheSize-1)]; e != nil && e.key == phys+1 {
+		return e
+	}
+	return nil
+}
+
 // TestBlockCompileQuantumDifferential: preemption must land on exactly the
 // same instruction with the tier on — a block only runs when all of it fits
 // the remaining quantum, otherwise the interpreter runs the tail.
@@ -272,38 +332,95 @@ func TestBlockCompileQuantumDifferential(t *testing.T) {
 	`)
 	instr := ParamsAMDdc5750().InstrCost
 	for _, qn := range []int{1, 2, 3, 5, 7, 64} {
-		quantum := time.Duration(qn) * instr
-		drive := func(compile bool) (*CPU, *chipset.Chipset, []uint32) {
-			c, cs, region := newTCodeMachine(t, image, compile)
-			var stops []uint32
-			for pass := 0; pass < tcodePasses; pass++ {
-				c.EnterRegion(region, image.Entry)
-				for {
-					reason, err := c.Run(quantum)
-					if err != nil {
-						t.Fatalf("q=%d pass %d: %v", qn, pass, err)
-					}
-					if reason == StopHalt {
-						break
-					}
-					if reason != StopPreempted {
-						t.Fatalf("q=%d pass %d: unexpected %v", qn, pass, reason)
-					}
-					stops = append(stops, c.PC)
-				}
+		sameSlices(t, image, time.Duration(qn)*instr, tcodePasses)
+	}
+}
+
+// TestBlockChainSelfLoopQuanta: a three-instruction loop block chains into
+// itself. Under quanta of 1–8 instructions every slice must still stop on
+// the interpreter's instruction — the chained run repeats the budget check
+// — and from 6 instructions up, where two blocks fit one slice, the block
+// must have recorded itself as its taken successor.
+func TestBlockChainSelfLoopQuanta(t *testing.T) {
+	image := pal.MustBuild(`
+		ldi	r0, 0
+		ldi	r1, 50
+	loop:	addi	r0, 1
+		cmp	r0, r1
+		jnz	loop
+		halt
+	`)
+	instr := ParamsAMDdc5750().InstrCost
+	loopPC := uint32(image.Entry) + 2*isa.WordSize
+	for qn := 1; qn <= 8; qn++ {
+		on := sameSlices(t, image, time.Duration(qn)*instr, tcodePasses)
+		e := compiledAt(on, on.region, loopPC)
+		if e == nil {
+			t.Fatalf("q=%d: loop block never compiled", qn)
+		}
+		if qn >= 6 && e.succ[0] != e {
+			t.Fatalf("q=%d: loop block did not chain into itself", qn)
+		}
+	}
+}
+
+// TestBlockChainSuccessorPageStored: block A stores into the page of block
+// B and then jumps to it, so every chained entry into B finds B's page
+// version moved. With the stored word toggling between two instructions
+// the chain must revalidate, see the new bytes and recompile B; with the
+// same word stored each time revalidation must let B run as compiled.
+func TestBlockChainSuccessorPageStored(t *testing.T) {
+	w7 := isa.Instruction{Op: isa.OpLdi, RA: 4, Imm: 7}.Encode()
+	w9 := isa.Instruction{Op: isa.OpLdi, RA: 4, Imm: 9}.Encode()
+	for _, tc := range []struct {
+		name   string
+		toggle uint32 // xor applied to the stored word each iteration
+		sum    uint32 // r6 after 30 iterations
+	}{
+		{"patched", w7 ^ w9, 15*9 + 15*7},
+		{"same-bytes", 0, 30 * 7},
+	} {
+		image := pal.MustBuild(fmt.Sprintf(`
+			ldi	r0, 0
+			ldi	r1, 30
+			ldi	r2, mark
+			ldi	r3, %d
+			lui	r3, %d
+			ldi	r5, %d
+			lui	r5, %d
+			ldi	r6, 0
+			ldi	r7, loop
+		loop:	addi	r0, 1
+			xor	r3, r5
+			store	r3, [r2]
+			jmp	mark
+			.align	4096
+		mark:	ldi	r4, 7
+			add	r6, r4
+			cmp	r0, r1
+			jnz	loop
+			halt
+		`, w7&0xffff, w7>>16, tc.toggle&0xffff, tc.toggle>>16))
+		instr := ParamsAMDdc5750().InstrCost
+		for _, quantum := range []time.Duration{0, 7 * instr} {
+			on := sameSlices(t, image, quantum, 1)
+			if on.Regs[6] != tc.sum {
+				t.Fatalf("%s quantum=%v: r6=%d, want %d", tc.name, quantum, on.Regs[6], tc.sum)
 			}
-			return c, cs, stops
-		}
-		on, csOn, stopsOn := drive(true)
-		off, csOff, stopsOff := drive(false)
-		sameRun(t, on, off, csOn, csOff)
-		if len(stopsOn) != len(stopsOff) {
-			t.Fatalf("q=%d: preemption counts diverge: %d vs %d", qn, len(stopsOn), len(stopsOff))
-		}
-		for i := range stopsOn {
-			if stopsOn[i] != stopsOff[i] {
-				t.Fatalf("q=%d: preemption %d lands at pc=%d compiled, pc=%d interpreted",
-					qn, i, stopsOn[i], stopsOff[i])
+			a := compiledAt(on, on.region, on.Regs[7])
+			b := compiledAt(on, on.region, on.Regs[2])
+			if a == nil || b == nil {
+				t.Fatalf("%s quantum=%v: blocks not compiled (A %v, B %v)", tc.name, quantum, a != nil, b != nil)
+			}
+			if a.pages[0] == b.pages[0] {
+				t.Fatalf("%s: A and B share page %d; the test needs them apart", tc.name, a.pages[0])
+			}
+			if a.succ[0] != b {
+				t.Fatalf("%s quantum=%v: A did not chain into B", tc.name, quantum)
+			}
+			st := on.TCodeStatsSnapshot()
+			if (tc.toggle != 0) != (st.Invalidations > 0) {
+				t.Fatalf("%s quantum=%v: %d invalidations: %+v", tc.name, quantum, st.Invalidations, st)
 			}
 		}
 	}
@@ -401,6 +518,155 @@ func TestBlockProfilerSeesCompiledTier(t *testing.T) {
 	}
 }
 
+// TestBlockChainIndirectSuccessor: a subroutine's ret block returns to two
+// call sites in turn, so its taken-exit successor slot holds the wrong
+// block on every other return. The chain must notice the leader mismatch
+// and look the right block up instead of running the cached one.
+func TestBlockChainIndirectSuccessor(t *testing.T) {
+	image := pal.MustBuild(`
+		ldi	r0, 0
+		ldi	r1, 30
+		ldi	r2, 0
+		ldi	r3, 0
+		ldi	r4, 0
+	loop:	call	sub
+		addi	r2, 1
+		call	sub
+		addi	r3, 3
+		addi	r0, 1
+		cmp	r0, r1
+		jnz	loop
+		halt
+	sub:	addi	r4, 1
+		ret
+		.space	64	; stack
+	`)
+	instr := ParamsAMDdc5750().InstrCost
+	for _, quantum := range []time.Duration{0, 9 * instr} {
+		on := sameSlices(t, image, quantum, tcodePasses)
+		if on.Regs[2] != 30 || on.Regs[3] != 90 || on.Regs[4] != 60 {
+			t.Fatalf("quantum=%v: r2=%d r3=%d r4=%d, want 30 90 60", quantum, on.Regs[2], on.Regs[3], on.Regs[4])
+		}
+	}
+}
+
+// TestBlockChainProfilerParity: with chaining on — a self-looping block
+// and a two-block cycle, whole and in 7-instruction slices — both a plain
+// Profiler and a BlockProfiler must see the interpreter's exact
+// retirement stream, and the BlockProfiler's compiled share must equal
+// the tier's Instrs counter.
+func TestBlockChainProfilerParity(t *testing.T) {
+	image := pal.MustBuild(`
+		ldi	r0, 0
+		ldi	r1, 20
+		ldi	r2, 0
+	loop:	addi	r0, 1
+		cmp	r0, r1
+		jnz	loop
+		ldi	r0, 0
+		addi	r2, 1
+	a:	addi	r0, 2
+		jmp	b
+	b:	add	r3, r0
+		cmp	r0, r1
+		jnz	a
+		ldi	r0, 3
+		cmp	r2, r0
+		jnz	loop
+		halt
+	`)
+	instr := ParamsAMDdc5750().InstrCost
+	for _, quantum := range []time.Duration{0, 7 * instr} {
+		fOn, fOff := &fakeProfiler{}, &fakeProfiler{}
+		on, _, _ := driveSlices(t, image, true, quantum, tcodePasses, fOn)
+		driveSlices(t, image, false, quantum, tcodePasses, fOff)
+		if int64(len(fOn.pcs)) != on.Retired {
+			t.Fatalf("quantum=%v: profiler saw %d retirements, CPU retired %d", quantum, len(fOn.pcs), on.Retired)
+		}
+		if len(fOn.pcs) != len(fOff.pcs) || fOn.total != fOff.total {
+			t.Fatalf("quantum=%v: streams diverge: %d retirements (%v) vs %d (%v)",
+				quantum, len(fOn.pcs), fOn.total, len(fOff.pcs), fOff.total)
+		}
+		for i := range fOn.pcs {
+			if fOn.pcs[i] != fOff.pcs[i] || fOn.ops[i] != fOff.ops[i] {
+				t.Fatalf("quantum=%v: retirement %d diverges: compiled (pc=%d %v), interpreted (pc=%d %v)",
+					quantum, i, fOn.pcs[i], fOn.ops[i], fOff.pcs[i], fOff.ops[i])
+			}
+		}
+		tp := &tierProfiler{}
+		c, _, _ := driveSlices(t, image, true, quantum, tcodePasses, tp)
+		if int64(len(tp.pcs)) != c.Retired || int64(tp.compiled) != c.TCodeStatsSnapshot().Instrs {
+			t.Fatalf("quantum=%v: BlockProfiler saw %d retirements (%d compiled), CPU retired %d, tier %d",
+				quantum, len(tp.pcs), tp.compiled, c.Retired, c.TCodeStatsSnapshot().Instrs)
+		}
+		if loop := compiledAt(c, c.region, uint32(image.Entry)+3*isa.WordSize); loop == nil || loop.succ[0] != loop {
+			t.Fatalf("quantum=%v: the loop block did not chain into itself", quantum)
+		}
+	}
+}
+
+// counterRow is a TCodeStats snapshot: Execs, Instrs, Bailouts, Compiled.
+type counterRow [4]int64
+
+// TestTCodeCountersExact pins the tier's counter semantics: after every
+// Run of a 40-iteration loop, under each quantum, the published counters
+// must equal the values the tier produced before blocks chained. Quanta
+// of 5 and 8 instructions make the chained lookup refuse the budget; each
+// refusal must count one bailout, not two.
+func TestTCodeCountersExact(t *testing.T) {
+	image := pal.MustBuild(`
+		ldi	r0, 0
+		ldi	r1, 40
+	loop:	addi	r0, 1
+		cmp	r0, r1
+		jnz	loop
+		halt
+	`)
+	instr := ParamsAMDdc5750().InstrCost
+	for _, tc := range []struct {
+		qn   int
+		want []counterRow
+	}{
+		{0, []counterRow{{32, 96, 0, 1}}},
+		{5, []counterRow{
+			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
+			{1, 3, 1, 1}, {2, 6, 1, 1}, {3, 9, 2, 1}, {4, 12, 3, 1}, {5, 15, 3, 1},
+			{6, 18, 4, 1}, {7, 21, 5, 1}, {8, 24, 5, 1}, {9, 27, 6, 1}, {10, 30, 7, 1},
+			{11, 33, 7, 1}, {12, 36, 8, 1}, {13, 39, 9, 1}, {14, 42, 9, 1}, {15, 45, 10, 1},
+			{16, 48, 11, 1}, {17, 51, 11, 1}, {18, 54, 12, 1}, {20, 58, 13, 2}, {21, 60, 13, 3},
+		}},
+		{8, []counterRow{
+			{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {2, 6, 0, 1}, {4, 12, 1, 1},
+			{6, 18, 2, 1}, {8, 24, 2, 1}, {10, 30, 3, 1}, {12, 36, 4, 1}, {14, 42, 4, 1},
+			{16, 48, 5, 1}, {18, 54, 6, 1}, {20, 60, 6, 1}, {22, 66, 7, 1}, {24, 72, 8, 1},
+			{24, 72, 8, 1},
+		}},
+	} {
+		c, _, region := newTCodeMachine(t, image, true)
+		c.EnterRegion(region, image.Entry)
+		for i := 0; ; i++ {
+			reason, err := c.Run(time.Duration(tc.qn) * instr)
+			if err != nil {
+				t.Fatalf("q=%d run %d: %v", tc.qn, i, err)
+			}
+			if i >= len(tc.want) {
+				t.Fatalf("q=%d: more than %d runs", tc.qn, len(tc.want))
+			}
+			st := c.TCodeStatsSnapshot()
+			if got := (counterRow{st.Execs, st.Instrs, st.Bailouts, st.Compiled}); got != tc.want[i] || st.Invalidations != 0 {
+				t.Fatalf("q=%d run %d: counters %v (invalidations %d), want %v",
+					tc.qn, i, got, st.Invalidations, tc.want[i])
+			}
+			if reason == StopHalt {
+				if i != len(tc.want)-1 {
+					t.Fatalf("q=%d: halted after %d runs, want %d", tc.qn, i+1, len(tc.want))
+				}
+				break
+			}
+		}
+	}
+}
+
 // TestSetBlockCompile: the switch mirrors SetDecodeCache — disabling drops
 // all tier state and re-enabling starts cold.
 func TestSetBlockCompile(t *testing.T) {
@@ -413,7 +679,7 @@ func TestSetBlockCompile(t *testing.T) {
 		halt
 	`)
 	c, _, region := newTCodeMachine(t, image, true)
-	if !c.BlockCompileEnabled() {
+	if c.tcodeOff {
 		t.Fatal("tier not enabled by default")
 	}
 	for i := 0; i < tcodePasses; i++ {
@@ -426,7 +692,7 @@ func TestSetBlockCompile(t *testing.T) {
 		t.Fatal("hot run left no block cache")
 	}
 	c.SetBlockCompile(false)
-	if c.BlockCompileEnabled() || c.bcache != nil || c.bheat != nil {
+	if !c.tcodeOff || c.bcache != nil || c.bheat != nil {
 		t.Fatal("SetBlockCompile(false) did not drop tier state")
 	}
 	before := c.TCodeStatsSnapshot().Execs

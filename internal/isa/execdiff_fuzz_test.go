@@ -86,6 +86,18 @@ func FuzzExecDifferential(f *testing.F) {
 	// Raw garbage: must fault identically.
 	f.Add([]byte{0xff, 0x13, 0x22, 0x9c, 0x01, 0x02}, uint32(1), uint32(2), uint8(2))
 
+	// Tight-quantum counting loop: in 7-instruction slices the compiled loop
+	// block chains into itself and the chained lookup refuses the budget
+	// near each slice's end.
+	f.Add(enc(
+		isa.Instruction{Op: isa.OpLdi, RA: 0, Imm: 0},
+		isa.Instruction{Op: isa.OpLdi, RA: 1, Imm: 200},
+		isa.Instruction{Op: isa.OpAddi, RA: 0, Imm: 1}, // loop
+		isa.Instruction{Op: isa.OpCmp, RA: 0, RB: 1},
+		isa.Instruction{Op: isa.OpJnz, Imm: 8},
+		isa.Instruction{Op: isa.OpHalt},
+	), uint32(0), uint32(0), uint8(6))
+
 	f.Fuzz(func(t *testing.T, prog []byte, r0, r1 uint32, qsel uint8) {
 		if len(prog) == 0 || len(prog) > 256*isa.WordSize {
 			return

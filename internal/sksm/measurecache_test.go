@@ -2,6 +2,8 @@ package sksm
 
 import (
 	"bytes"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"minimaltcb/internal/obs"
@@ -40,6 +42,11 @@ func attrValue(r obs.Record, key string) (string, bool) {
 	return "", false
 }
 
+// measureAttrRuns numbers TestSLAUNCHMeasureCacheAttr's invocations, so
+// each one (go test -count=N runs it N times in one process) builds an
+// image the process-wide measurement cache has not seen.
+var measureAttrRuns atomic.Uint32
+
 // TestSLAUNCHMeasureCacheAttr launches the same image twice and checks the
 // trace records the measurement-cache outcome: miss on the first launch of
 // a fresh image, hit on the relaunch.
@@ -49,9 +56,10 @@ func TestSLAUNCHMeasureCacheAttr(t *testing.T) {
 	mg.Trace = obs.NewScope(tracer, mg.Kernel.Machine.Clock)
 	core := mg.Kernel.Machine.CPUs[1]
 
-	// A source string unique to this test, so no other test's launch has
-	// already warmed the process-wide measurement memo for these bytes.
-	im := pal.MustBuild("ldi r0, 30911\nldi r0, 0\nsvc 0")
+	// A source string unique to this test and invocation, so no earlier
+	// launch has already warmed the process-wide measurement memo for
+	// these bytes.
+	im := pal.MustBuild(fmt.Sprintf("ldi r0, 30911\nldi r1, %d\nldi r0, 0\nsvc 0", measureAttrRuns.Add(1)))
 	for i := 0; i < 2; i++ {
 		s, err := mg.NewSECB(im, 0, 0)
 		if err != nil {
